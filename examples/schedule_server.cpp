@@ -37,9 +37,6 @@
 // the graceful drain: past T, clients that never read their last
 // answers are closed instead of holding the process up (0 = wait
 // forever).
-// --cache-backend mutex|lockfree selects the result-cache index
-// (sharded-mutex LRU vs concurrent CLOCK map); --queue-backend
-// mutex|lockfree selects the admission queue's fast path.
 // SIGTERM/SIGINT drain gracefully: the listener closes, every accepted
 // request is answered or cancelled, buffers flush, then the process
 // exits 0 — kill -TERM is the production stop.
@@ -82,10 +79,6 @@ int main(int argc, char** argv) {
     ServiceConfig service_config;
     service_config.cache_bytes =
         static_cast<std::size_t>(args.get_int("cache-mb", 256)) << 20;
-    service_config.cache_backend =
-        parse_cache_backend(args.get("cache-backend", "mutex"));
-    service_config.queue.backend =
-        parse_queue_backend(args.get("queue-backend", "mutex"));
     service_config.validate = args.get_bool("validate", false);
     service_config.store.max_bytes =
         static_cast<std::size_t>(args.get_int("store-mb", 0)) << 20;

@@ -45,11 +45,8 @@
 // the service's registry) on 127.0.0.1:N from a dedicated thread; 0
 // picks an ephemeral port (printed to stderr). --slow-ms T logs the
 // stage breakdown of any request slower than T ms to stderr.
-// --cache-backend / --queue-backend pick mutex (default) or lockfree
-// implementations for the result cache and admission queue — results
-// are bit-identical either way. This front-end reads trusted local
-// stdin, so unlike schedule_server it keeps unrestricted file: specs
-// and unbounded generator specs.
+// This front-end reads trusted local stdin, so unlike schedule_server it
+// keeps unrestricted file: specs and unbounded generator specs.
 
 #include <chrono>
 #include <cstdio>
@@ -438,11 +435,6 @@ int main(int argc, char** argv) {
     ServiceConfig config;
     config.cache_bytes =
         static_cast<std::size_t>(args.get_int("cache-mb", 256)) << 20;
-    config.cache_backend =
-        parse_cache_backend(args.get("cache-backend", "mutex"));
-    config.queue.backend =
-        parse_queue_backend(args.get("queue-backend", "mutex"));
-    config.threads = static_cast<unsigned>(args.get_int("threads", 0));
     config.validate = args.get_bool("validate", false);
     config.queue.age_after =
         std::chrono::milliseconds(args.get_int("age-ms", 250));

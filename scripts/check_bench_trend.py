@@ -12,7 +12,6 @@ Usage:
         [--baseline bench/baseline.json]
         [--service-threshold 0.30]
         [--min-v3-ratio 3.0]
-        [--min-cache-scale-ratio 1.0]
         [--min-router-ratio 0.7]
         [--max-trace-overhead 0.05]
 
@@ -31,15 +30,13 @@ numbers.
     differ from the reference box.
 
   * --service-current names this run's bench_service JSON (schema
-    treesched-bench-service-v6). Its loopback-server requests/sec are
+    treesched-bench-service-v9). Its loopback-server requests/sec are
     gated against the committed --baseline. Absolute rps keys gate at
     --service-threshold (loose: they cross the kernel loopback stack
     and a real scheduler pool). Hardware-relative ratios gate
     regardless of the machine: the v3-batch-16-over-text-v2 ratio
     must stay >= --min-v3-ratio (the protocol-v3 acceptance bar), the
-    lock-free-over-mutex cache-hit throughput at 16 threads must stay
-    >= --min-cache-scale-ratio (both backends measured in the SAME
-    run, so the ratio is hardware-independent), the routed-over-direct
+    routed-over-direct
     cache-hit throughput through the cluster router must stay >=
     --min-router-ratio (both paths hit the SAME backend in the same
     bench run, so this too holds on any machine), the fractional rps
@@ -198,11 +195,6 @@ def main():
                         help="required server_v3_over_v2_batch16 in the "
                              "current run — hardware-relative, so it gates "
                              "on any machine (default 3.0; 0 disables)")
-    parser.add_argument("--min-cache-scale-ratio", type=float, default=1.0,
-                        help="required cache_scale_ratio_t16 (lock-free over "
-                             "mutex cache hit throughput at 16 threads) in "
-                             "the current run — within-run, so it gates on "
-                             "any machine (default 1.0; 0 disables)")
     parser.add_argument("--min-router-ratio", type=float, default=0.7,
                         help="required router_over_direct_ratio (cache-hot "
                              "rps through the cluster router over the same "
@@ -257,19 +249,6 @@ def main():
                 regressions.append(
                     ("server_v3_over_v2_batch16",
                      ratio / args.min_v3_ratio - 1.0))
-            compared += 1
-        scale = doc.get("cache_scale_ratio_t16")
-        if args.min_cache_scale_ratio > 0 \
-                and isinstance(scale, (int, float)) and scale > 0:
-            ok = scale >= args.min_cache_scale_ratio
-            print(f"lock-free over mutex cache hits at 16 threads: "
-                  f"{scale:.2f}x "
-                  f"(required >= {args.min_cache_scale_ratio:.2f}x)"
-                  f"{'' if ok else '  << REGRESSION'}")
-            if not ok:
-                regressions.append(
-                    ("cache_scale_ratio_t16",
-                     scale / args.min_cache_scale_ratio - 1.0))
             compared += 1
         routed = doc.get("router_over_direct_ratio")
         if args.min_router_ratio > 0 and isinstance(routed, (int, float)) \

@@ -2,14 +2,13 @@
 // The service's error taxonomy: every way a scheduling request can fail,
 // as a machine-readable code plus a human-readable message. This is the
 // single failure vocabulary of the v2 API — tickets return
-// Result<ScheduleResponse, ServiceError>, batch responses embed the same
-// ServiceError, and the wire protocol spells the code (`code=queue_full`)
-// so clients never parse prose.
+// Result<ScheduleResponse, ServiceError>, and the wire protocol spells
+// the code (`code=queue_full`) so clients never parse prose.
 //
 // Exceptions still exist in two places only:
-//   * the legacy wrapper surfaces (schedule(), schedule_async() futures)
-//     rethrow the original exception when one caused the error (the
-//     `cause` field) or a typed exception mapped from the code;
+//   * unwrap() and to_exception() (the campaign runner's throwing
+//     surface) rethrow the original exception when one caused the error
+//     (the `cause` field) or a typed exception mapped from the code;
 //   * inside the compute engine, where scheduler code throws — submit()
 //     catches at the boundary and converts to a ServiceError.
 
@@ -48,8 +47,8 @@ enum class ErrorCode : int {
 [[nodiscard]] std::optional<ErrorCode> parse_error_code(std::string_view text);
 
 /// One failure, as a value. `cause` is set when the error was converted
-/// from a thrown exception — it lets the legacy wrappers rethrow exactly
-/// what the scheduler threw; errors born as values leave it empty.
+/// from a thrown exception — it lets unwrap() rethrow exactly what the
+/// scheduler threw; errors born as values leave it empty.
 struct ServiceError {
   ErrorCode code = ErrorCode::kSchedulerFailure;
   std::string message;
@@ -57,13 +56,12 @@ struct ServiceError {
 };
 
 // ---------------------------------------------------------------------------
-// Exception types for the legacy (throwing) surfaces. QueueError is kept
-// as the base of the admission-queue family so pre-v2 catch sites keep
-// compiling.
+// Exception types for the throwing surfaces (unwrap, intern). QueueError
+// is the base of the admission-queue family.
 // ---------------------------------------------------------------------------
 
-/// Typed admission-queue rejection, delivered through the legacy
-/// schedule_async future (value-path callers get the ServiceError code).
+/// Typed admission-queue failure, thrown by unwrap() (value-path callers
+/// get the ServiceError code).
 class QueueError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -91,7 +89,7 @@ class StoreFull : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The exception the legacy surfaces throw for `error`: the original
+/// The exception the throwing surfaces raise for `error`: the original
 /// `cause` when one exists, otherwise a typed exception mapped from the
 /// code (kDeadlineExpired -> DeadlineExpired, kQueueFull -> QueueFull,
 /// kCancelled -> Cancelled, kStoreFull -> StoreFull, kUnknownAlgorithm /

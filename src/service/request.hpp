@@ -9,10 +9,10 @@
 // up it takes the most urgent admitted request — Interactive before
 // Batch before Bulk, earliest deadline first within a class.
 //
-// Failures are values: ScheduleResponse carries an optional ServiceError
-// (service/errors.hpp) with a machine-readable code, and the ticket
-// surface returns ServiceResult = Result<ScheduleResponse, ServiceError>.
-// Callers branch on the code, never on message text.
+// Failures are values: the ticket surface returns ServiceResult =
+// Result<ScheduleResponse, ServiceError>, and the ServiceError
+// (service/errors.hpp) carries a machine-readable code. Callers branch on
+// the code, never on message text.
 
 #include <memory>
 #include <optional>
@@ -71,7 +71,7 @@ struct ScheduleRequest {
   bool want_schedule = false;
   /// Admission class. Every submission goes through the queue (except
   /// nested submissions from pool workers, which compute inline), so the
-  /// class is honored uniformly across submit() and all legacy wrappers.
+  /// class is honored uniformly by every submit().
   /// Never part of the cache key.
   Priority priority = Priority::kBatch;
   /// Deadline relative to submission; <= 0 means none. A request whose
@@ -91,37 +91,21 @@ struct ScheduleResponse {
   bool cache_hit = false;  ///< answered from cache (or a concurrent twin)
   /// Shares the cached result's schedule; only set when want_schedule.
   std::shared_ptr<const Schedule> schedule;
-  /// Engaged iff the request failed (the scores are meaningless then).
-  /// Set on the batch collection paths; Ticket::wait() returns the same
-  /// error through ServiceResult instead, and the legacy schedule() /
-  /// future surfaces convert it into the corresponding exception.
-  std::optional<ServiceError> error;
   /// The request's stamps as of settlement, so the front-end that
   /// submitted it can stamp serialize/flush and log a full stage
   /// breakdown for slow requests.
   obs::StageStamps stamps;
-
-  [[nodiscard]] bool ok() const { return !error.has_value(); }
 };
 
 /// What a Ticket resolves to: the response, or the typed failure.
 using ServiceResult = Result<ScheduleResponse, ServiceError>;
 
-/// Legacy bridge: the response, or throw what the pre-v2 API would have
-/// thrown (the original scheduler exception when one caused the error,
-/// the mapped typed exception otherwise).
+/// Throwing bridge for callers that want exceptions (the campaign
+/// runner): the response, or throw the original scheduler exception
+/// when one caused the error, the mapped typed exception otherwise.
 inline ScheduleResponse unwrap(ServiceResult result) {
   if (!result.ok()) throw_error(result.error());
   return std::move(result).value();
-}
-
-/// Folds a ServiceResult into the batch-path response shape: failures
-/// land in ScheduleResponse::error instead of throwing.
-inline ScheduleResponse to_response(ServiceResult result) {
-  if (result.ok()) return std::move(result).value();
-  ScheduleResponse resp;
-  resp.error = std::move(result.error());
-  return resp;
 }
 
 }  // namespace treesched

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -10,26 +9,7 @@
 
 namespace treesched {
 
-QueueBackend parse_queue_backend(const std::string& name) {
-  if (name == "mutex") return QueueBackend::kMutex;
-  if (name == "lockfree") return QueueBackend::kLockFree;
-  throw std::invalid_argument("unknown queue backend \"" + name +
-                              "\" (mutex|lockfree)");
-}
-
-const char* to_string(QueueBackend backend) {
-  return backend == QueueBackend::kLockFree ? "lockfree" : "mutex";
-}
-
 RequestQueue::RequestQueue(RequestQueueConfig config) : config_(config) {}
-
-RequestQueue::~RequestQueue() {
-  for (FastLane& lane : lanes_) {
-    while (std::optional<Stored*> parked = lane.ring.try_pop()) {
-      delete *parked;
-    }
-  }
-}
 
 bool RequestQueue::reserve_pending() {
   if (config_.max_pending == 0) {
@@ -79,42 +59,15 @@ std::optional<std::uint64_t> RequestQueue::push(
   stored.last_aged = now;
   stored.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t seq = stored.seq;
-
-  if (config_.backend == QueueBackend::kLockFree &&
-      stored.entry.deadline == Clock::time_point::max()) {
-    // Fast lane: deadline-less entries have no EDF position (they sort
-    // after every deadline-tagged entry, FIFO among themselves), so the
-    // MPMC ring preserves the mutex backend's pop order by itself.
-    // Stamp `oldest` BEFORE pushing so the aging check can never miss a
-    // parked entry.
-    FastLane& lane = lanes_[static_cast<std::size_t>(cls)];
-    const std::int64_t tick = now.time_since_epoch().count();
-    std::int64_t cur = lane.oldest.load(std::memory_order_relaxed);
-    while (tick < cur &&
-           !lane.oldest.compare_exchange_weak(cur, tick,
-                                              std::memory_order_relaxed)) {
-    }
-    auto* parked = new Stored(std::move(stored));
-    if (lane.ring.try_push(parked)) return seq;
-    // Ring full: fall back to the mutex buckets (the entry keeps its
-    // seq, so the locked pop still merges it in FIFO position).
-    stored = std::move(*parked);
-    delete parked;
-  }
+  const EdfKey key{stored.entry.deadline, seq};
+  const int c = static_cast<int>(cls);
 
   const std::lock_guard<std::mutex> lock(mutex_);
-  insert_locked(static_cast<int>(cls), seq, std::move(stored));
-  return seq;
-}
-
-void RequestQueue::insert_locked(int cls, std::uint64_t seq, Stored stored) {
-  const EdfKey key{stored.entry.deadline, seq};
-  Bucket& b = bucket(cls);
+  Bucket& b = bucket(c);
   b.by_age.emplace(stored.last_aged, key);
   b.items.emplace(key, std::move(stored));
-  by_seq_.emplace(seq, std::make_pair(cls, key.deadline));
-  bucket_count_[static_cast<std::size_t>(cls)].fetch_add(
-      1, std::memory_order_relaxed);
+  by_seq_.emplace(seq, std::make_pair(c, key.deadline));
+  return seq;
 }
 
 void RequestQueue::age_pending(Clock::time_point now) {
@@ -134,10 +87,6 @@ void RequestQueue::age_pending(Clock::time_point now) {
       counters(stored.entry.submitted)
           .aged.fetch_add(1, std::memory_order_relaxed);
       by_seq_[key.seq].first = cls - 1;
-      bucket_count_[static_cast<std::size_t>(cls)].fetch_sub(
-          1, std::memory_order_relaxed);
-      bucket_count_[static_cast<std::size_t>(cls - 1)].fetch_add(
-          1, std::memory_order_relaxed);
       Bucket& to = bucket(cls - 1);
       to.by_age.emplace(stored.last_aged, key);
       to.items.emplace(key, std::move(stored));
@@ -160,8 +109,6 @@ RequestQueue::Stored RequestQueue::remove_stored(int cls, const EdfKey& key) {
   }
   b.items.erase(it);
   by_seq_.erase(key.seq);
-  bucket_count_[static_cast<std::size_t>(cls)].fetch_sub(
-      1, std::memory_order_relaxed);
   pending_.fetch_sub(1, std::memory_order_relaxed);
   pending_by_class_[static_cast<std::size_t>(stored.entry.submitted)]
       .fetch_sub(1, std::memory_order_relaxed);
@@ -170,89 +117,15 @@ RequestQueue::Stored RequestQueue::remove_stored(int cls, const EdfKey& key) {
 
 void RequestQueue::record_wait(Priority cls, Clock::time_point admitted,
                                Clock::time_point now) {
-  const double ms =
-      std::chrono::duration<double, std::milli>(now - admitted).count();
   WaitRing& ring = wait_rings_[static_cast<std::size_t>(cls)];
-  const std::size_t slot =
-      ring.count.fetch_add(1, std::memory_order_relaxed) % kWaitSampleCap;
-  ring.samples[slot].store(ms, std::memory_order_relaxed);
-}
-
-bool RequestQueue::lane_aging_due(Clock::time_point now) const {
-  if (config_.age_after.count() <= 0) return false;
-  // Class 0 entries never promote, so only the lower lanes matter.
-  for (int cls = 1; cls < kPriorityClasses; ++cls) {
-    const std::int64_t oldest =
-        lanes_[static_cast<std::size_t>(cls)].oldest.load(
-            std::memory_order_relaxed);
-    if (oldest == kLaneIdle) continue;
-    const Clock::time_point stamp{Clock::duration{oldest}};
-    if (stamp + config_.age_after <= now) return true;
-  }
-  return false;
-}
-
-void RequestQueue::drain_lanes_locked() {
-  for (int cls = 0; cls < kPriorityClasses; ++cls) {
-    FastLane& lane = lanes_[static_cast<std::size_t>(cls)];
-    bool drained_any = false;
-    while (std::optional<Stored*> parked = lane.ring.try_pop()) {
-      Stored stored = std::move(**parked);
-      delete *parked;
-      // Drained entries keep last_aged = admission time, so the ring
-      // wait counts toward their aging credit exactly as if they had
-      // been in the buckets all along.
-      const std::uint64_t seq = stored.seq;
-      insert_locked(cls, seq, std::move(stored));
-      drained_any = true;
-    }
-    if (drained_any || lane.oldest.load(std::memory_order_relaxed) !=
-                           kLaneIdle) {
-      // Conservative re-stamp: `now` rather than idle, so a push racing
-      // this drain can never leave a parked entry unwatched. Costs at
-      // most one false drain per aging interval on an idle lane.
-      lane.oldest.store(Clock::now().time_since_epoch().count(),
-                        std::memory_order_relaxed);
-    }
-  }
+  ring.samples[ring.count++ % kWaitSampleCap] =
+      std::chrono::duration<double, std::milli>(now - admitted).count();
 }
 
 RequestQueue::PopResult RequestQueue::pop() {
   const Clock::time_point now = Clock::now();
-  if (config_.backend == QueueBackend::kLockFree && !lane_aging_due(now)) {
-    // Pure fast path: class preemption by scan order; a nonzero bucket
-    // forces the locked path because bucket entries (deadline-tagged,
-    // overflowed, or previously drained) must merge ahead of or among
-    // the lane's FIFO by EDF-then-seq order.
-    PopResult result;
-    for (int cls = 0; cls < kPriorityClasses; ++cls) {
-      if (bucket_count_[static_cast<std::size_t>(cls)].load(
-              std::memory_order_acquire) != 0) {
-        return pop_locked(now);
-      }
-      FastLane& lane = lanes_[static_cast<std::size_t>(cls)];
-      if (std::optional<Stored*> parked = lane.ring.try_pop()) {
-        Stored stored = std::move(**parked);
-        delete *parked;
-        record_wait(stored.entry.submitted, stored.entry.admitted, now);
-        counters(stored.entry.submitted)
-            .completed.fetch_add(1, std::memory_order_relaxed);
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-        pending_by_class_[static_cast<std::size_t>(stored.entry.submitted)]
-            .fetch_sub(1, std::memory_order_relaxed);
-        result.entry = std::move(stored.entry);
-        return result;
-      }
-    }
-    return result;
-  }
-  return pop_locked(now);
-}
-
-RequestQueue::PopResult RequestQueue::pop_locked(Clock::time_point now) {
   PopResult result;
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (config_.backend == QueueBackend::kLockFree) drain_lanes_locked();
   age_pending(now);
   for (int cls = 0; cls < kPriorityClasses; ++cls) {
     Bucket& b = bucket(cls);
@@ -279,11 +152,6 @@ bool RequestQueue::cancel(std::uint64_t seq) {
   Entry entry;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    // Lane entries are invisible to by_seq_; pull them into the buckets
-    // first so the lookup below arbitrates ownership exactly once (the
-    // MPMC pop means a concurrently popping worker and this drain can
-    // never both obtain the same entry).
-    if (config_.backend == QueueBackend::kLockFree) drain_lanes_locked();
     const auto it = by_seq_.find(seq);
     if (it == by_seq_.end()) return false;  // popped, cancelled, or unknown
     const auto [cls, deadline] = it->second;
@@ -321,14 +189,11 @@ QueueStats RequestQueue::stats() const {
     out.aged = counters_[i].aged.load(std::memory_order_relaxed);
     out.pending = pending_by_class_[i].load(std::memory_order_relaxed);
     const WaitRing& ring = wait_rings_[i];
-    const std::size_t n =
-        std::min(ring.count.load(std::memory_order_relaxed), kWaitSampleCap);
+    const std::size_t n = std::min(ring.count, kWaitSampleCap);
     if (n != 0) {
-      std::vector<double> sorted;
-      sorted.reserve(n);
-      for (std::size_t s = 0; s < n; ++s) {
-        sorted.push_back(ring.samples[s].load(std::memory_order_relaxed));
-      }
+      std::vector<double> sorted(ring.samples.begin(),
+                                 ring.samples.begin() +
+                                     static_cast<std::ptrdiff_t>(n));
       std::sort(sorted.begin(), sorted.end());
       out.wait_ms_p50 = quantile_sorted(sorted, 0.50);
       out.wait_ms_p90 = quantile_sorted(sorted, 0.90);

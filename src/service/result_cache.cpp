@@ -1,10 +1,9 @@
 #include "service/result_cache.hpp"
 
+#include <algorithm>
 #include <functional>
-#include <stdexcept>
 #include <utility>
 
-#include "service/concurrent_map.hpp"
 #include "util/hash.hpp"
 
 namespace treesched {
@@ -17,17 +16,6 @@ std::size_t ResultKeyHash::operator()(const ResultKey& k) const noexcept {
   return static_cast<std::size_t>(h);
 }
 
-CacheBackend parse_cache_backend(const std::string& name) {
-  if (name == "mutex") return CacheBackend::kMutex;
-  if (name == "lockfree") return CacheBackend::kLockFree;
-  throw std::invalid_argument("unknown cache backend \"" + name +
-                              "\" (mutex|lockfree)");
-}
-
-const char* to_string(CacheBackend backend) {
-  return backend == CacheBackend::kLockFree ? "lockfree" : "mutex";
-}
-
 ResultCache::ResultCache(std::size_t byte_budget, unsigned shards)
     : byte_budget_(byte_budget) {
   if (shards == 0) shards = 1;
@@ -38,16 +26,6 @@ ResultCache::ResultCache(std::size_t byte_budget, unsigned shards)
   }
 }
 
-ResultCache::ResultCache(const ResultCacheConfig& config)
-    : ResultCache(config.byte_budget, config.shards) {
-  backend_ = config.backend;
-  if (backend_ == CacheBackend::kLockFree) {
-    lockfree_ = std::make_unique<ConcurrentResultMap>(byte_budget_);
-  }
-}
-
-ResultCache::~ResultCache() = default;
-
 ResultCache::Shard& ResultCache::shard_for(const ResultKey& key) {
   // Re-mix the map hash so shard choice and in-shard bucket choice use
   // independent bits.
@@ -56,7 +34,6 @@ ResultCache::Shard& ResultCache::shard_for(const ResultKey& key) {
 }
 
 CachedResultPtr ResultCache::get(const ResultKey& key) {
-  if (lockfree_) return lockfree_->get(key);
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.map.find(key);
@@ -70,7 +47,6 @@ CachedResultPtr ResultCache::get(const ResultKey& key) {
 }
 
 CachedResultPtr ResultCache::peek(const ResultKey& key) {
-  if (lockfree_) return lockfree_->peek(key);
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.map.find(key);
@@ -82,10 +58,6 @@ CachedResultPtr ResultCache::peek(const ResultKey& key) {
 
 void ResultCache::put(const ResultKey& key, CachedResultPtr value) {
   if (!enabled() || !value) return;
-  if (lockfree_) {
-    lockfree_->put(key, std::move(value));
-    return;
-  }
   const std::size_t cost = value->bytes();
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -113,7 +85,6 @@ void ResultCache::put(const ResultKey& key, CachedResultPtr value) {
 }
 
 CacheStats ResultCache::stats() const {
-  if (lockfree_) return lockfree_->stats();
   CacheStats out;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
@@ -128,10 +99,6 @@ CacheStats ResultCache::stats() const {
 }
 
 void ResultCache::clear() {
-  if (lockfree_) {
-    lockfree_->clear();
-    return;
-  }
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     shard->lru.clear();

@@ -5,18 +5,11 @@
 //
 // Entries are immutable and shared: get() hands out shared_ptrs, so an
 // entry evicted while a reader still holds it simply lives until the last
-// reader drops it. Two index backends sit behind one interface
-// (ResultCacheConfig::backend):
-//  * kMutex — sharded exact LRU: each shard has its own mutex, map, LRU
-//    list and slice of the byte budget, so concurrent requests for
-//    different keys rarely touch the same lock.
-//  * kLockFree — a concurrent open-addressing table (concurrent_map.hpp)
-//    with CAS insertion and approximate CLOCK eviction; readers never
-//    take a lock, so cache-hit throughput keeps scaling where the
-//    sharded-mutex curve flattens.
-// Both backends keep the same get/peek/put/stats/clear contracts and
-// return bit-identical results — the scheduler roster is deterministic,
-// so a dropped or evicted entry only ever costs a recompute.
+// reader drops it. The index is a sharded exact LRU: each shard has its
+// own mutex, map, LRU list and slice of the byte budget, so concurrent
+// requests for different keys rarely touch the same lock. The scheduler
+// roster is deterministic, so an evicted entry only ever costs a
+// recompute.
 
 #include <cstddef>
 #include <cstdint>
@@ -85,28 +78,6 @@ struct CacheStats {
   }
 };
 
-class ConcurrentResultMap;
-
-/// Selects the cache's index implementation. kMutex is the default —
-/// exact LRU, predictable under memory pressure; kLockFree trades exact
-/// recency for lock-free hit paths (see file comment).
-enum class CacheBackend { kMutex, kLockFree };
-
-/// Parses a CLI flag value ("mutex" | "lockfree") into a backend;
-/// throws std::invalid_argument on anything else.
-CacheBackend parse_cache_backend(const std::string& name);
-const char* to_string(CacheBackend backend);
-
-struct ResultCacheConfig {
-  /// 0 disables the cache entirely (every get misses, every put is
-  /// dropped) — the service's "uncached" mode.
-  std::size_t byte_budget = 256u << 20;
-  /// Mutex backend only: the budget is split evenly across this many
-  /// shards, each with its own lock and LRU list.
-  unsigned shards = 16;
-  CacheBackend backend = CacheBackend::kMutex;
-};
-
 class ResultCache {
  public:
   /// `byte_budget` 0 disables the cache entirely (every get misses, every
@@ -116,12 +87,6 @@ class ResultCache {
   /// oversized result still caches.
   explicit ResultCache(std::size_t byte_budget = kDefaultByteBudget,
                        unsigned shards = 16);
-
-  /// Backend-selecting constructor; the two-argument form above is the
-  /// mutex backend with the same budget semantics.
-  explicit ResultCache(const ResultCacheConfig& config);
-
-  ~ResultCache();
 
   /// Looks up `key`, refreshing its LRU position. Counts a hit or miss.
   [[nodiscard]] CachedResultPtr get(const ResultKey& key);
@@ -144,7 +109,6 @@ class ResultCache {
     return static_cast<unsigned>(shards_.size());
   }
   [[nodiscard]] bool enabled() const { return byte_budget_ != 0; }
-  [[nodiscard]] CacheBackend backend() const { return backend_; }
 
   static constexpr std::size_t kDefaultByteBudget = 256u << 20;  // 256 MiB
 
@@ -165,10 +129,7 @@ class ResultCache {
 
   std::size_t byte_budget_ = 0;
   std::size_t shard_budget_ = 0;
-  CacheBackend backend_ = CacheBackend::kMutex;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Non-null iff backend_ == kLockFree (concurrent_map.hpp).
-  std::unique_ptr<ConcurrentResultMap> lockfree_;
 };
 
 }  // namespace treesched

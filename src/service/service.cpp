@@ -9,7 +9,6 @@
 #include "core/simulator.hpp"
 #include "obs/trace.hpp"
 #include "sched/validate.hpp"
-#include "util/parallel.hpp"
 #include "util/thread_pool.hpp"
 
 namespace treesched {
@@ -26,8 +25,7 @@ SchedulingService::SchedulingService(ServiceConfig config)
       registry_(config.registry ? config.registry
                                 : std::make_shared<obs::MetricsRegistry>()),
       store_(config.store),
-      cache_(ResultCacheConfig{config.cache_bytes, config.cache_shards,
-                               config.cache_backend}),
+      cache_(config.cache_bytes, config.cache_shards),
       queue_(std::make_shared<RequestQueue>(config.queue)) {
   init_metrics();
 }
@@ -112,22 +110,16 @@ void SchedulingService::init_metrics() {
           gauge("treesched_queue_pending", "Currently queued requests", cls,
                 static_cast<double>(q.pending));
         }
-        // The backend label tells dashboards which index produced the
-        // series (mutex sharded LRU vs lock-free CLOCK map) without
-        // renaming any metric.
-        std::string cache_labels = "backend=\"";
-        cache_labels += to_string(cache_.backend());
-        cache_labels += "\"";
-        counter("treesched_cache_hits_total", "Result-cache hits",
-                cache_labels, static_cast<double>(cs.hits));
-        counter("treesched_cache_misses_total", "Result-cache misses",
-                cache_labels, static_cast<double>(cs.misses));
+        counter("treesched_cache_hits_total", "Result-cache hits", "",
+                static_cast<double>(cs.hits));
+        counter("treesched_cache_misses_total", "Result-cache misses", "",
+                static_cast<double>(cs.misses));
         counter("treesched_cache_evictions_total", "Result-cache evictions",
-                cache_labels, static_cast<double>(cs.evictions));
-        gauge("treesched_cache_entries", "Cached results resident",
-              cache_labels, static_cast<double>(cs.entries));
-        gauge("treesched_cache_bytes", "Result-cache bytes resident",
-              cache_labels, static_cast<double>(cs.bytes));
+                "", static_cast<double>(cs.evictions));
+        gauge("treesched_cache_entries", "Cached results resident", "",
+              static_cast<double>(cs.entries));
+        gauge("treesched_cache_bytes", "Result-cache bytes resident", "",
+              static_cast<double>(cs.bytes));
         gauge("treesched_store_trees", "Interned trees resident", "",
               static_cast<double>(ss.unique_trees));
         gauge("treesched_store_bytes", "Instance-store bytes resident", "",
@@ -496,69 +488,6 @@ Ticket SchedulingService::submit(ScheduleRequest req) {
     release();
   });
   return Ticket(std::move(state), queue_, *seq);
-}
-
-ScheduleResponse SchedulingService::schedule(const ScheduleRequest& req) {
-  return unwrap(submit(req).wait());
-}
-
-std::vector<ScheduleResponse> SchedulingService::schedule_batch(
-    const std::vector<ScheduleRequest>& reqs) {
-  std::vector<ScheduleResponse> responses(reqs.size());
-  if (config_.threads != 0) {
-    // An explicit thread bound is a compute-parallelism promise the
-    // shared-pool admission queue cannot keep (drain jobs fan out over
-    // the whole pool), so honor it with `threads`-wide submissions —
-    // worker-claimed items compute inline; items claimed by the
-    // participating caller flow through the queue (they may finish
-    // after the workers' share, but the compute width stays bounded).
-    // Deadlines are ignored on the whole of schedule_batch, as on the
-    // v1 synchronous batch: on this width-bound path whether an item
-    // lands on a worker (inline, deadline moot) or the caller (queued)
-    // is a scheduling accident that must not pick which items expire.
-    parallel_for(
-        reqs.size(),
-        [&](std::size_t i) {
-          ScheduleRequest req = reqs[i];
-          req.deadline_ms = 0.0;
-          responses[i] = to_response(submit(std::move(req)).wait());
-        },
-        config_.threads);
-    return responses;
-  }
-  // Same tickets + ordered collect as schedule_prioritized, minus the
-  // deadlines (stripped above for the width-bound path too): the v1
-  // batch contract. schedule_prioritized is the deadline-honoring batch.
-  std::vector<Ticket> tickets;
-  tickets.reserve(reqs.size());
-  for (const ScheduleRequest& r : reqs) {
-    ScheduleRequest req = r;
-    req.deadline_ms = 0.0;
-    tickets.push_back(submit(std::move(req)));
-  }
-  return collect_ordered(std::move(tickets));
-}
-
-std::future<ScheduleResponse> SchedulingService::schedule_async(
-    ScheduleRequest req) {
-  return submit(std::move(req)).legacy_future();
-}
-
-std::vector<ScheduleResponse> SchedulingService::schedule_prioritized(
-    const std::vector<ScheduleRequest>& reqs) {
-  std::vector<Ticket> tickets;
-  tickets.reserve(reqs.size());
-  for (const ScheduleRequest& req : reqs) tickets.push_back(submit(req));
-  return collect_ordered(std::move(tickets));
-}
-
-std::vector<ScheduleResponse> SchedulingService::collect_ordered(
-    std::vector<Ticket> tickets) {
-  std::vector<ScheduleResponse> responses(tickets.size());
-  for (std::size_t i = 0; i < tickets.size(); ++i) {
-    responses[i] = to_response(tickets[i].wait());
-  }
-  return responses;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> service_stats_pairs(

@@ -26,14 +26,9 @@
 // kCancelled, kSchedulerFailure, kStoreFull. Cancelling a still-queued
 // ticket removes it from the queue (counted in QueueStats) and resolves
 // it with kCancelled; cancelling anything else is a no-op returning
-// false.
-//
-// The four pre-v2 entry points — schedule(), schedule_batch(),
-// schedule_async(), schedule_prioritized() — are thin wrappers over
-// submit() (batch = N tickets + ordered collect), so determinism, dedup,
-// priority ordering and the destructor's drain guarantee are enforced in
-// exactly one place. The wrappers translate errors back into the legacy
-// conventions (thrown exceptions / ScheduleResponse::error).
+// false. A batch is N submit() calls followed by N wait() calls in
+// submission order; unwrap() (service/request.hpp) turns a settled
+// result back into a response or the exception that caused it.
 //
 // Guarantees:
 //  * Determinism: a response carries exactly the (makespan, peak memory,
@@ -59,7 +54,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -84,14 +78,6 @@ struct ServiceConfig {
   /// Result-cache budget; 0 disables caching (every request recomputes).
   std::size_t cache_bytes = ResultCache::kDefaultByteBudget;
   unsigned cache_shards = 16;
-  /// Result-cache index implementation: kMutex (sharded exact LRU, the
-  /// default) or kLockFree (concurrent CLOCK map — see
-  /// service/concurrent_map.hpp). Results are bit-identical either way.
-  CacheBackend cache_backend = CacheBackend::kMutex;
-  /// Parallelism bound for schedule_batch (0 = the shared thread pool's
-  /// size via the admission queue; nonzero runs the batch exactly this
-  /// wide).
-  unsigned threads = 0;
   /// Validate every computed schedule (sched/validate.hpp, including the
   /// request's memory cap) before caching it — defense in depth at ~2x
   /// compute cost; off by default, the simulator already rejects
@@ -148,37 +134,6 @@ class SchedulingService {
   /// (a probe miss counts nothing).
   [[nodiscard]] std::optional<ScheduleResponse> try_cached(
       const ScheduleRequest& req);
-
-  // --- legacy wrappers, all delegating to submit() ---------------------
-
-  /// submit(req).wait(), rethrowing the legacy exception on error (the
-  /// scheduler's own exception when one caused it). Unlike v1's
-  /// queue-bypassing synchronous path, this flows through the admission
-  /// queue: with a bounded queue (RequestQueueConfig::max_pending) it
-  /// can throw QueueFull under load.
-  ScheduleResponse schedule(const ScheduleRequest& req);
-
-  /// N tickets + ordered collect; failures land per-request in
-  /// ScheduleResponse::error. Deadlines are ignored on this path (the
-  /// v1 batch contract — use schedule_prioritized or submit() for
-  /// deadline-aware batches). With ServiceConfig::threads nonzero the
-  /// batch runs that wide (worker-inline submissions); otherwise
-  /// requests flow through the admission queue under their own
-  /// priorities — and, unlike the v1 queue-bypassing batch, a bounded
-  /// queue (max_pending) can reject items with kQueueFull.
-  std::vector<ScheduleResponse> schedule_batch(
-      const std::vector<ScheduleRequest>& reqs);
-
-  /// submit(req) bridged to a std::future that throws the legacy
-  /// exception on error (DeadlineExpired, QueueFull, the scheduler's
-  /// own, ...).
-  std::future<ScheduleResponse> schedule_async(ScheduleRequest req);
-
-  /// N tickets through the queue + ordered collect with failures
-  /// (including kDeadlineExpired) captured per-request in
-  /// ScheduleResponse::error.
-  std::vector<ScheduleResponse> schedule_prioritized(
-      const std::vector<ScheduleRequest>& reqs);
 
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
   [[nodiscard]] QueueStats queue_stats() const { return queue_->stats(); }
@@ -239,11 +194,6 @@ class SchedulingService {
                                        const Scheduler& sched,
                                        bool& shared_from_twin);
   CachedResultPtr compute(const ScheduleRequest& req, const Scheduler& sched);
-
-  /// Waits out `tickets` and folds each result into the batch response
-  /// shape, in ticket order.
-  static std::vector<ScheduleResponse> collect_ordered(
-      std::vector<Ticket> tickets);
 
   /// Services one admission-queue pop: answers every expired entry with
   /// kDeadlineExpired and computes the live one, if any. One call per

@@ -31,7 +31,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -44,19 +43,12 @@ class RequestQueue;
 
 namespace detail {
 
-/// Completion state shared by a Ticket, the queue entry that answers it,
-/// and any legacy future bridged from it.
+/// Completion state shared by a Ticket and the queue entry that answers
+/// it.
 struct TicketState {
   std::mutex mutex;
   std::condition_variable cv;
   std::optional<ServiceResult> result;
-  /// Legacy future bridge (Ticket::legacy_future). Constructed lazily —
-  /// only the schedule_async bridge pays the promise's shared-state
-  /// allocation, never the plain submit()+wait() hot path. Fulfilled on
-  /// completion iff attached; attaching after completion fulfills
-  /// immediately.
-  std::optional<std::promise<ScheduleResponse>> legacy_promise;
-  bool legacy_fulfilled = false;
   /// Completion hook (Ticket::on_complete). Stored under the mutex,
   /// invoked exactly once OUTSIDE it (so the callback may touch the
   /// ticket, cancel other tickets, or block without deadlocking):
@@ -71,7 +63,7 @@ struct TicketState {
 
 /// Settles `state` (idempotent: a second call is ignored — by
 /// construction each ticket has exactly one answerer, the guard is
-/// defense in depth) and wakes every waiter and the legacy future.
+/// defense in depth) and wakes every waiter.
 void complete_ticket(const std::shared_ptr<TicketState>& state,
                      ServiceResult result);
 
@@ -122,13 +114,6 @@ class Ticket {
   /// Single-shot: a second subscription throws std::logic_error. An
   /// empty ticket invokes `fn` immediately with the kBadRequest error.
   void on_complete(std::function<void(const ServiceResult&)> fn);
-
-  /// Legacy bridge: a std::future carrying the response, throwing the
-  /// legacy exception on error (see to_exception). The future is bound
-  /// to this ticket's completion; the Ticket itself may be discarded.
-  /// Single-shot: a second call throws std::logic_error (the underlying
-  /// promise has one future).
-  [[nodiscard]] std::future<ScheduleResponse> legacy_future();
 
  private:
   friend class SchedulingService;

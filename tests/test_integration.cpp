@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 #include "core/lower_bounds.hpp"
@@ -32,6 +33,13 @@ struct PipelineCase {
   std::int64_t z;
   int p;
 };
+
+// Without this, gtest prints the case as raw bytes, and the `name`
+// pointer makes the printed parameter differ from run to run.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << c.name << " " << c.nx << "x" << c.ny << " z=" << c.z
+      << " p=" << c.p;
+}
 
 class PipelineTest : public ::testing::TestWithParam<PipelineCase> {};
 

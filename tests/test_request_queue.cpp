@@ -1,18 +1,22 @@
 // The deadline-aware admission queue and the service's submission paths:
 // class preemption, EDF within a class, aging against starvation, typed
 // expiry/rejection/cancellation errors, counter balance under producer
-// contention, and bit-identical results vs. direct registry calls. The
-// legacy schedule_async/schedule_prioritized wrappers are exercised here;
-// the Ticket surface itself is pinned by tests/test_tickets.cpp.
+// contention, and bit-identical results vs. direct registry calls, all
+// through submit() + wait(); the Ticket surface itself is pinned by
+// tests/test_tickets.cpp.
 
 #include "service/request_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -230,6 +234,190 @@ TEST(RequestQueue, CancelFindsEntriesAgedIntoAnotherClass) {
 }
 
 // ---------------------------------------------------------------------------
+// Ordering and balance cases kept under the suite name they were first
+// written for (a lock-free queue path, since removed); they now pin the
+// same contract on the locked queue.
+// ---------------------------------------------------------------------------
+
+TEST(LockFreeQueue, HigherClassesPreemptLowerAtDequeue) {
+  // Two entries per class, admitted lowest class first and interleaved:
+  // pops drain class by class, FIFO within each.
+  RequestQueue q;
+  for (const auto& [tag, cls] :
+       std::vector<std::pair<std::string, Priority>>{
+           {"bulk-1", Priority::kBulk},
+           {"batch-1", Priority::kBatch},
+           {"interactive-1", Priority::kInteractive},
+           {"bulk-2", Priority::kBulk},
+           {"batch-2", Priority::kBatch},
+           {"interactive-2", Priority::kInteractive}}) {
+    auto [req, state] = tagged(tag, cls);
+    EXPECT_TRUE(q.push(std::move(req), std::move(state)).has_value());
+  }
+  EXPECT_EQ(q.pending(), 6u);
+  for (const char* expect : {"interactive-1", "interactive-2", "batch-1",
+                             "batch-2", "bulk-1", "bulk-2"}) {
+    EXPECT_EQ(pop_tag(q), expect);
+  }
+  EXPECT_EQ(pop_tag(q), "<empty>");
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(LockFreeQueue, DeadlineMixMatchesTheMutexOrdering) {
+  // The EDF mix of EarliestDeadlineFirstWithinAClass, admitted into two
+  // classes at once: a deadline never lifts an entry over a higher class,
+  // and within each class deadlines come first (EDF), then FIFO.
+  RequestQueue q;
+  for (const auto& [tag, cls, deadline] :
+       std::vector<std::tuple<std::string, Priority, double>>{
+           {"batch-late", Priority::kBatch, 60000.0},
+           {"inter-none-1", Priority::kInteractive, 0.0},
+           {"batch-none-1", Priority::kBatch, 0.0},
+           {"inter-late", Priority::kInteractive, 60000.0},
+           {"batch-early", Priority::kBatch, 10000.0},
+           {"inter-early", Priority::kInteractive, 10000.0},
+           {"batch-none-2", Priority::kBatch, 0.0},
+           {"inter-none-2", Priority::kInteractive, 0.0}}) {
+    auto [req, state] = tagged(tag, cls, deadline);
+    ASSERT_TRUE(q.push(std::move(req), std::move(state)).has_value());
+  }
+  for (const char* expect :
+       {"inter-early", "inter-late", "inter-none-1", "inter-none-2",
+        "batch-early", "batch-late", "batch-none-1", "batch-none-2"}) {
+    EXPECT_EQ(pop_tag(q), expect);
+  }
+  EXPECT_EQ(pop_tag(q), "<empty>");
+}
+
+TEST(LockFreeQueue, CancelWinsExactlyOnceAgainstConcurrentPops) {
+  // One thread cancels every entry while another pops: the queue's mutex
+  // hands each entry to exactly one side, and a cancel reports true iff
+  // it took the entry (its ticket then settles with kCancelled).
+  constexpr int kEntries = 2000;
+  RequestQueue q;
+  std::vector<std::shared_ptr<detail::TicketState>> states;
+  std::vector<std::uint64_t> seqs;
+  for (int i = 0; i < kEntries; ++i) {
+    auto [req, state] = tagged(std::to_string(i), Priority::kBatch);
+    const auto seq = q.push(std::move(req), state);
+    ASSERT_TRUE(seq.has_value());
+    seqs.push_back(*seq);
+    states.push_back(std::move(state));
+  }
+
+  std::vector<char> popped(kEntries, 0);
+  std::thread popper([&] {
+    while (true) {
+      const RequestQueue::PopResult r = q.pop();
+      if (!r.entry) break;
+      popped[static_cast<std::size_t>(std::stoi(r.entry->request.algo))] = 1;
+    }
+  });
+  std::vector<char> cancelled(kEntries, 0);
+  for (int i = kEntries - 1; i >= 0; --i) {
+    cancelled[static_cast<std::size_t>(i)] =
+        q.cancel(seqs[static_cast<std::size_t>(i)]) ? 1 : 0;
+  }
+  popper.join();
+
+  std::uint64_t n_cancelled = 0;
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    EXPECT_NE(popped[i], cancelled[i]) << "entry " << i << " went to one side";
+    EXPECT_EQ(settled_code(states[i]).has_value(), cancelled[i] == 1)
+        << "entry " << i;
+    EXPECT_FALSE(q.cancel(seqs[i])) << "a second cancel is a no-op";
+    n_cancelled += static_cast<std::uint64_t>(cancelled[i]);
+  }
+  const ClassQueueStats c = q.stats().of(Priority::kBatch);
+  EXPECT_EQ(c.admitted, static_cast<std::uint64_t>(kEntries));
+  EXPECT_EQ(c.cancelled, n_cancelled);
+  EXPECT_EQ(c.completed, static_cast<std::uint64_t>(kEntries) - n_cancelled);
+  EXPECT_EQ(c.admitted, c.completed + c.expired + c.rejected + c.cancelled);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(LockFreeQueue, StressBalanceStaysExactUnderContention) {
+  // Producers, consumers and cancellers hammer the queue; afterwards the
+  // per-class balance must hold exactly:
+  //     admitted == completed + expired + rejected + cancelled.
+  RequestQueueConfig config;
+  config.age_after = 1ms;    // promotions interleave with every pop
+  config.max_pending = 512;  // exercise the rejection path
+  RequestQueue q(config);
+
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 4000;
+  std::atomic<bool> done{false};
+  std::array<std::vector<std::uint64_t>, kProducers> seqs;
+
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < 2; ++c) {
+    consumers.emplace_back([&] {
+      while (!done.load()) {
+        const RequestQueue::PopResult r = q.pop();
+        if (!r.entry && r.expired.empty()) std::this_thread::yield();
+      }
+    });
+  }
+
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      seqs[static_cast<std::size_t>(t)].reserve(kPerProducer);
+      for (int i = 0; i < kPerProducer; ++i) {
+        // Mostly deadline-less; every 7th carries a far deadline, every
+        // 13th a tight one that may expire.
+        double deadline = 0.0;
+        if (i % 13 == 0) {
+          deadline = 0.01;
+        } else if (i % 7 == 0) {
+          deadline = 60000.0;
+        }
+        auto [req, state] =
+            tagged("x", static_cast<Priority>(i % kPriorityClasses), deadline);
+        if (const auto seq = q.push(std::move(req), std::move(state))) {
+          seqs[static_cast<std::size_t>(t)].push_back(*seq);
+        }
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+
+  // Cancellers race the still-running consumers for the leftovers: the
+  // cancel index must hand each entry to exactly one side.
+  std::vector<std::thread> cancellers;
+  for (int t = 0; t < kProducers; ++t) {
+    cancellers.emplace_back([&, t] {
+      const std::vector<std::uint64_t>& mine =
+          seqs[static_cast<std::size_t>(t)];
+      for (std::size_t i = 0; i < mine.size(); i += 3) {
+        (void)q.cancel(mine[i]);
+      }
+    });
+  }
+  for (std::thread& t : cancellers) t.join();
+
+  while (q.pending() != 0) {
+    (void)q.pop();
+    std::this_thread::yield();
+  }
+  done.store(true);
+  for (std::thread& t : consumers) t.join();
+
+  const QueueStats stats = q.stats();
+  std::uint64_t admitted = 0;
+  for (const ClassQueueStats& c : stats.by_class) {
+    EXPECT_EQ(c.admitted, c.completed + c.expired + c.rejected + c.cancelled)
+        << "exact per-class balance";
+    EXPECT_EQ(c.pending, 0u);
+    admitted += c.admitted;
+  }
+  EXPECT_EQ(admitted,
+            static_cast<std::uint64_t>(kProducers) * kPerProducer);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Service-level queued submission.
 // ---------------------------------------------------------------------------
 
@@ -253,7 +441,7 @@ TEST(ScheduleAsync, MatchesDirectRegistryCallsBitIdentically) {
       req.p = p;
       req.want_schedule = true;
       req.priority = classes[i++ % 3];
-      const ScheduleResponse resp = service.schedule_async(req).get();
+      const ScheduleResponse resp = unwrap(service.submit(req).wait());
       EXPECT_EQ(resp.makespan, expect_sim.makespan) << algo << " p=" << p;
       EXPECT_EQ(resp.peak_memory, expect_sim.peak_memory) << algo;
       ASSERT_NE(resp.schedule, nullptr);
@@ -269,8 +457,11 @@ TEST(ScheduleAsync, DeliversSchedulerErrorsThroughTheFuture) {
   req.tree = service.intern(weighted_tree(2));
   req.algo = "NoSuchAlgo";
   req.p = 2;
-  EXPECT_THROW((void)service.schedule_async(req).get(),
-               std::invalid_argument);
+  const ServiceResult result = service.submit(req).wait();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kUnknownAlgorithm);
+  EXPECT_THROW((void)unwrap(result), std::invalid_argument)
+      << "the ticket carries the scheduler registry's own exception";
 }
 
 TEST(ScheduleAsync, ExpiredRequestsNeverReachTheSchedulers) {
@@ -284,20 +475,30 @@ TEST(ScheduleAsync, ExpiredRequestsNeverReachTheSchedulers) {
   const TreeHandle heavy = service.intern(weighted_tree(3, 2000));
   const TreeHandle light = service.intern(weighted_tree(4, 30));
 
+  // Hold every pool worker until all requests are queued and the doomed
+  // deadlines have lapsed: a test thread descheduled for longer than the
+  // backlog takes to drain would otherwise find the queue empty, and an
+  // idle worker could pop a doomed request inside its 0.01 ms budget.
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  for (unsigned w = 0; w < ThreadPool::shared().size(); ++w) {
+    ThreadPool::shared().submit([gate] { gate.wait(); });
+  }
+
   // Enough backlog to pin every pool worker with queued work to spare —
   // a fixed count would leave workers idle on many-core machines, and an
   // idle worker would answer a doomed request before its deadline lapsed.
   const std::size_t kBacklog = 2 * ThreadPool::shared().size() + 6;
-  std::vector<std::future<ScheduleResponse>> backlog;
+  std::vector<Ticket> backlog;
   for (std::size_t i = 0; i < kBacklog; ++i) {
     ScheduleRequest req;
     req.tree = heavy;
     req.algo = "ParDeepestFirst";
     req.p = 2 + static_cast<int>(i);
     req.priority = Priority::kInteractive;
-    backlog.push_back(service.schedule_async(req));
+    backlog.push_back(service.submit(req));
   }
-  std::vector<std::future<ScheduleResponse>> doomed;
+  std::vector<Ticket> doomed;
   for (int i = 0; i < 6; ++i) {
     ScheduleRequest req;
     req.tree = light;
@@ -305,12 +506,17 @@ TEST(ScheduleAsync, ExpiredRequestsNeverReachTheSchedulers) {
     req.p = 1;
     req.priority = Priority::kBulk;
     req.deadline_ms = 0.01;
-    doomed.push_back(service.schedule_async(req));
+    doomed.push_back(service.submit(req));
   }
-  for (auto& f : backlog) EXPECT_TRUE(f.get().ok());
-  for (auto& f : doomed) {
-    EXPECT_THROW((void)f.get(), DeadlineExpired)
-        << "the legacy future delivers the typed expiry exception";
+  std::this_thread::sleep_for(1ms);
+  release.set_value();
+  for (Ticket& t : backlog) EXPECT_TRUE(t.wait().ok());
+  for (Ticket& t : doomed) {
+    const ServiceResult result = t.wait();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code, ErrorCode::kDeadlineExpired);
+    EXPECT_THROW((void)unwrap(result), DeadlineExpired)
+        << "unwrap() raises the typed expiry exception";
   }
   const CacheStats cs = service.cache_stats();
   EXPECT_EQ(cs.misses, kBacklog)
@@ -337,14 +543,18 @@ TEST(ScheduleAsync, PrioritizedBatchCapturesPerRequestFailuresInOrder) {
   reqs[2].algo = "Liu";
   reqs[2].p = 1;
   reqs[2].priority = Priority::kInteractive;
-  const std::vector<ScheduleResponse> responses =
-      service.schedule_prioritized(reqs);
-  ASSERT_EQ(responses.size(), 3u);
-  EXPECT_TRUE(responses[0].ok());
-  EXPECT_FALSE(responses[1].ok());
-  EXPECT_EQ(responses[1].error->code, ErrorCode::kUnknownAlgorithm);
-  EXPECT_TRUE(responses[2].ok());
-  EXPECT_EQ(responses[0].makespan, service.schedule(reqs[0]).makespan);
+  std::vector<Ticket> tickets;
+  for (const ScheduleRequest& req : reqs) {
+    tickets.push_back(service.submit(req));
+  }
+  std::vector<ServiceResult> results;
+  for (Ticket& t : tickets) results.push_back(t.wait());
+  ASSERT_TRUE(results[0].ok());
+  ASSERT_FALSE(results[1].ok());
+  EXPECT_EQ(results[1].error().code, ErrorCode::kUnknownAlgorithm);
+  EXPECT_TRUE(results[2].ok());
+  EXPECT_EQ(results[0].value().makespan,
+            unwrap(service.submit(reqs[0]).wait()).makespan);
 }
 
 TEST(ScheduleAsync, SubmittingFromPoolWorkersDoesNotDeadlock) {
@@ -360,7 +570,7 @@ TEST(ScheduleAsync, SubmittingFromPoolWorkersDoesNotDeadlock) {
     req.algo = (i % 2 == 0) ? "ParSubtrees" : "ParInnerFirst";
     req.p = 1 + static_cast<int>(i);
     req.priority = Priority::kInteractive;
-    if (service.schedule_async(req).get().ok()) answered.fetch_add(1);
+    if (service.submit(req).wait().ok()) answered.fetch_add(1);
   });
   EXPECT_EQ(answered.load(), 8);
 }
@@ -395,7 +605,7 @@ TEST(ScheduleAsync, StressCountersBalanceAndNothingStarves) {
   producers.reserve(kProducers);
   for (int t = 0; t < kProducers; ++t) {
     producers.emplace_back([&, t] {
-      std::vector<std::future<ScheduleResponse>> futures;
+      std::vector<Ticket> tickets;
       std::vector<std::size_t> tree_of;
       for (int i = 0; i < kPerProducer; ++i) {
         const std::size_t ti = static_cast<std::size_t>(t + i) % 3;
@@ -407,19 +617,22 @@ TEST(ScheduleAsync, StressCountersBalanceAndNothingStarves) {
         // Every 5th request carries a deadline tight enough that some
         // expire under contention; everything else must complete.
         if (i % 5 == 0) req.deadline_ms = 0.05;
-        futures.push_back(service.schedule_async(std::move(req)));
+        tickets.push_back(service.submit(std::move(req)));
         tree_of.push_back(ti);
       }
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-          const ScheduleResponse resp = futures[i].get();
-          completed_seen.fetch_add(1);
-          if (resp.makespan != expected[tree_of[i]].makespan ||
-              resp.peak_memory != expected[tree_of[i]].peak_memory) {
-            wrong.fetch_add(1);
+      for (std::size_t i = 0; i < tickets.size(); ++i) {
+        const ServiceResult result = tickets[i].wait();
+        if (!result.ok()) {
+          if (result.error().code == ErrorCode::kDeadlineExpired) {
+            expired_seen.fetch_add(1);
           }
-        } catch (const DeadlineExpired&) {
-          expired_seen.fetch_add(1);
+          continue;
+        }
+        completed_seen.fetch_add(1);
+        const ScheduleResponse& resp = result.value();
+        if (resp.makespan != expected[tree_of[i]].makespan ||
+            resp.peak_memory != expected[tree_of[i]].peak_memory) {
+          wrong.fetch_add(1);
         }
       }
     });
@@ -431,7 +644,7 @@ TEST(ScheduleAsync, StressCountersBalanceAndNothingStarves) {
   EXPECT_EQ(wrong.load(), 0) << "queued answers must be bit-identical";
   EXPECT_EQ(completed_seen.load() + expired_seen.load(),
             static_cast<int>(kTotal))
-      << "every future resolves: nothing starves, nothing is dropped";
+      << "every ticket resolves: nothing starves, nothing is dropped";
 
   const QueueStats qs = service.queue_stats();
   std::uint64_t admitted = 0, completed = 0, expired = 0, rejected = 0;

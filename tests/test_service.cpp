@@ -1,5 +1,5 @@
 // The scheduling-service subsystem: thread pool, tree interning, sharded
-// LRU result cache, and the batch engine — including the PR's contract
+// LRU result cache, and the submit() engine — including its contract
 // tests: bit-identical results vs. direct SchedulerRegistry calls for
 // every registered algorithm, cache-stats consistency under contention,
 // and the uniform Resources validation message across the whole roster.
@@ -39,6 +39,13 @@ Tree weighted_tree(std::uint64_t seed, NodeId n = 60) {
 
 /// Small enough for the BruteForceSeq oracle (max 20 nodes).
 Tree oracle_sized_tree(std::uint64_t seed) { return weighted_tree(seed, 16); }
+
+/// One request through submit() + wait(), throwing what the ticket
+/// carries on failure.
+ScheduleResponse submit_wait(SchedulingService& service,
+                             const ScheduleRequest& req) {
+  return unwrap(service.submit(req).wait());
+}
 
 // ---------------------------------------------------------------------------
 // ThreadPool and the rerouted parallel_for.
@@ -239,6 +246,163 @@ TEST(ResultCache, ZeroBudgetDisablesCaching) {
 }
 
 // ---------------------------------------------------------------------------
+// Cache contract cases kept under the suite name they were first written
+// for (a lock-free cache index, since removed); they now pin the same
+// contract on the sharded LRU cache.
+// ---------------------------------------------------------------------------
+
+TEST(ConcurrentMapCache, GetPutAndStatsMatchTheMutexContract) {
+  // GetPutAndStats at both ends of the shard range the service builds.
+  for (const unsigned shards : {1u, 16u}) {
+    ResultCache cache(1 << 20, shards);
+    const ResultKey key{123, "ParSubtrees", 4, 0};
+    EXPECT_EQ(cache.get(key), nullptr);
+    cache.put(key, dummy_result(10));
+    const CachedResultPtr hit = cache.get(key);
+    ASSERT_NE(hit, nullptr) << shards << " shards";
+    EXPECT_EQ(hit->makespan, 10.0);
+    const CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.insertions, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_GT(stats.bytes, 0u);
+    EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
+  }
+}
+
+TEST(ConcurrentMapCache, DistinctKeysAreDistinctEntries) {
+  // One shard: all five keys share one LRU list, so no shard split can
+  // keep colliding keys apart by accident.
+  ResultCache cache(1 << 20, 1);
+  cache.put({1, "A", 2, 0}, dummy_result(1));
+  cache.put({1, "A", 4, 0}, dummy_result(2));  // different p
+  cache.put({1, "A", 2, 9}, dummy_result(3));  // different cap
+  cache.put({2, "A", 2, 0}, dummy_result(4));  // different tree
+  cache.put({1, "B", 2, 0}, dummy_result(5));  // different algo
+  EXPECT_EQ(cache.stats().entries, 5u);
+  EXPECT_EQ(cache.get({1, "A", 2, 0})->makespan, 1.0);
+  EXPECT_EQ(cache.get({1, "A", 4, 0})->makespan, 2.0);
+  EXPECT_EQ(cache.get({1, "A", 2, 9})->makespan, 3.0);
+  EXPECT_EQ(cache.get({2, "A", 2, 0})->makespan, 4.0);
+  EXPECT_EQ(cache.get({1, "B", 2, 0})->makespan, 5.0);
+}
+
+TEST(ConcurrentMapCache, ZeroBudgetDisablesCaching) {
+  // Also through peek() and clear(), and at the default shard count.
+  ResultCache cache(0);
+  EXPECT_FALSE(cache.enabled());
+  cache.put({1, "A", 1, 0}, dummy_result(10));
+  EXPECT_EQ(cache.get({1, "A", 1, 0}), nullptr);
+  EXPECT_EQ(cache.peek({1, "A", 1, 0}), nullptr);
+  cache.clear();
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
+}
+
+TEST(ConcurrentMapCache, ByteBudgetTriggersEvictionNotGrowth) {
+  // Budget fits two of these entries in one shard; a flood of 64
+  // distinct keys evicts instead of growing.
+  const std::size_t entry_cost = dummy_result(100)->bytes();
+  ResultCache cache(2 * entry_cost + 64, 1);
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    cache.put({i, "A", 1, 0}, dummy_result(100));
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 62u) << "every insert past the second evicts";
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_LE(stats.bytes, cache.byte_budget())
+      << "byte accounting stays within the budget, not the insert volume";
+  EXPECT_NE(cache.get({63, "A", 1, 0}), nullptr) << "the latest is kept";
+}
+
+TEST(ConcurrentMapCache, OverwriteReplacesInPlace) {
+  ResultCache cache(1 << 20, 4);
+  const ResultKey key{7, "Liu", 1, 0};
+  cache.put(key, dummy_result(10));
+  cache.put(key, dummy_result(20));
+  EXPECT_EQ(cache.get(key)->makespan, 20.0);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u) << "overwrite is not a new entry";
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.bytes, dummy_result(20)->bytes())
+      << "the replaced entry's bytes are released";
+}
+
+TEST(ConcurrentMapCache, PeekCountsHitsButNeverMisses) {
+  ResultCache cache(1 << 20, 4);
+  const ResultKey key{9, "Liu", 1, 0};
+  EXPECT_EQ(cache.peek(key), nullptr);
+  EXPECT_EQ(cache.stats().misses, 0u) << "peek misses are silent";
+  cache.put(key, dummy_result(3));
+  EXPECT_NE(cache.peek(key), nullptr);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(ConcurrentMapCache, ClearDropsEntriesAndKeepsCounters) {
+  ResultCache cache(1 << 20, 4);
+  cache.put({1, "A", 1, 0}, dummy_result(10));
+  (void)cache.get({1, "A", 1, 0});
+  cache.clear();
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  EXPECT_EQ(cache.stats().hits, 1u) << "counters survive clear()";
+  EXPECT_EQ(cache.get({1, "A", 1, 0}), nullptr);
+}
+
+TEST(ConcurrentMapCache, StressNoFalseHitsAndBalancedStats) {
+  // The makespan encodes the key, so any false hit (a lookup returning
+  // another key's value) is detected immediately. Threads mix puts, gets
+  // and the occasional clear over a small hot key set.
+  ResultCache cache(4 << 20, 16);
+  constexpr int kThreads = 8;
+  constexpr int kIters = 3000;
+  constexpr std::uint64_t kKeys = 32;
+  const std::vector<std::string> algos{"ParSubtrees", "Liu", "ParInnerFirst"};
+  auto expected_makespan = [&](std::uint64_t uid, std::size_t algo, int p) {
+    return static_cast<double>(uid * 1000 + algo * 100 +
+                               static_cast<std::uint64_t>(p));
+  };
+  std::atomic<int> false_hits{0};
+  std::atomic<std::uint64_t> lookups{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        const std::uint64_t uid = static_cast<std::uint64_t>(t + i) % kKeys;
+        const std::size_t a = static_cast<std::size_t>(i) % algos.size();
+        const int p = 1 + i % 4;
+        const ResultKey key{uid, algos[a], p, 0};
+        if (i % 3 == 0) {
+          auto r = std::make_shared<CachedResult>();
+          r->makespan = expected_makespan(uid, a, p);
+          r->schedule = Schedule(4);
+          cache.put(key, std::move(r));
+        } else if (t == 0 && i % 1000 == 999) {
+          cache.clear();
+        } else {
+          const CachedResultPtr hit = cache.get(key);
+          lookups.fetch_add(1);
+          if (hit && hit->makespan != expected_makespan(uid, a, p)) {
+            false_hits.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(false_hits.load(), 0) << "a stale or foreign value was served";
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load())
+      << "every get() counts exactly one hit or one miss";
+  EXPECT_LE(stats.entries, static_cast<std::size_t>(kKeys * 12))
+      << "entries stay bounded by the distinct key set";
+}
+
+// ---------------------------------------------------------------------------
 // Service determinism: bit-identical to direct registry calls, for every
 // registered algorithm.
 // ---------------------------------------------------------------------------
@@ -258,7 +422,7 @@ TEST(SchedulingService, MatchesDirectRegistryCallsForEveryAlgorithm) {
       req.algo = name;
       req.p = p;
       req.want_schedule = true;
-      const ScheduleResponse resp = service.schedule(req);
+      const ScheduleResponse resp = submit_wait(service, req);
       EXPECT_EQ(resp.makespan, expect_sim.makespan) << name << " p=" << p;
       EXPECT_EQ(resp.peak_memory, expect_sim.peak_memory)
           << name << " p=" << p;
@@ -277,7 +441,7 @@ TEST(SchedulingService, SequentialAlgorithmsShareOneEntryAcrossP) {
   req.algo = "Liu";
   for (int p : {1, 2, 8, 32}) {
     req.p = p;
-    const ScheduleResponse resp = service.schedule(req);
+    const ScheduleResponse resp = submit_wait(service, req);
     EXPECT_EQ(resp.cache_hit, p != 1) << "only the first p computes";
   }
   EXPECT_EQ(service.cache_stats().entries, 1u);
@@ -285,9 +449,9 @@ TEST(SchedulingService, SequentialAlgorithmsShareOneEntryAcrossP) {
   // A parallel algorithm stays keyed per p.
   req.algo = "ParSubtrees";
   req.p = 2;
-  EXPECT_FALSE(service.schedule(req).cache_hit);
+  EXPECT_FALSE(submit_wait(service, req).cache_hit);
   req.p = 4;
-  EXPECT_FALSE(service.schedule(req).cache_hit);
+  EXPECT_FALSE(submit_wait(service, req).cache_hit);
   EXPECT_EQ(service.cache_stats().entries, 3u);
 }
 
@@ -298,8 +462,8 @@ TEST(SchedulingService, RepeatedRequestsHitTheCache) {
   req.tree = handle;
   req.algo = "ParDeepestFirst";
   req.p = 4;
-  EXPECT_FALSE(service.schedule(req).cache_hit);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(service.schedule(req).cache_hit);
+  EXPECT_FALSE(submit_wait(service, req).cache_hit);
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(submit_wait(service, req).cache_hit);
   const CacheStats stats = service.cache_stats();
   EXPECT_EQ(stats.hits, 5u);
   EXPECT_EQ(stats.misses, 1u);
@@ -312,8 +476,8 @@ TEST(SchedulingService, UncachedServiceRecomputesEveryRequest) {
   req.tree = handle;
   req.algo = "ParSubtrees";
   req.p = 4;
-  EXPECT_FALSE(service.schedule(req).cache_hit);
-  EXPECT_FALSE(service.schedule(req).cache_hit);
+  EXPECT_FALSE(submit_wait(service, req).cache_hit);
+  EXPECT_FALSE(submit_wait(service, req).cache_hit);
   EXPECT_EQ(service.cache_stats().entries, 0u);
 }
 
@@ -338,7 +502,7 @@ TEST(SchedulingService, UniformResourceValidationAcrossTheRoster) {
     req.algo = name;
     req.p = 0;
     try {
-      (void)service.schedule(req);
+      (void)submit_wait(service, req);
       FAIL() << name << " accepted p = 0";
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()),
@@ -357,7 +521,7 @@ TEST(SchedulingService, UniformResourceValidationAcrossTheRoster) {
       req.p = 2;
       req.memory_cap = 1234;
       try {
-        (void)service.schedule(req);
+        (void)submit_wait(service, req);
         FAIL() << name << " accepted a memory cap without the capability";
       } catch (const std::invalid_argument& e) {
         EXPECT_EQ(std::string(e.what()),
@@ -386,11 +550,11 @@ TEST(SchedulingService, SequentialSchedulersHonorExplicitCap) {
     req.algo = name;
     req.p = 1;
     req.memory_cap = peak;
-    EXPECT_EQ(service.schedule(req).peak_memory, peak) << name;
+    EXPECT_EQ(submit_wait(service, req).peak_memory, peak) << name;
 
     req.memory_cap = peak - 1;
     try {
-      (void)service.schedule(req);
+      (void)submit_wait(service, req);
       FAIL() << name << " exceeded an explicit cap silently";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("below the feasibility floor"),
@@ -405,11 +569,11 @@ TEST(SchedulingService, UnknownAlgorithmAndNullTreeThrow) {
   ScheduleRequest req;
   req.algo = "ParSubtrees";
   req.p = 2;
-  EXPECT_THROW((void)service.schedule(req), std::invalid_argument)
+  EXPECT_THROW((void)submit_wait(service, req), std::invalid_argument)
       << "request without an interned tree";
   req.tree = service.intern(weighted_tree(1));
   req.algo = "NoSuchAlgo";
-  EXPECT_THROW((void)service.schedule(req), std::invalid_argument);
+  EXPECT_THROW((void)submit_wait(service, req), std::invalid_argument);
 }
 
 TEST(SchedulingService, FailedComputationsAreNotCached) {
@@ -419,8 +583,8 @@ TEST(SchedulingService, FailedComputationsAreNotCached) {
   req.tree = handle;
   req.algo = "BruteForceSeq";
   req.p = 1;
-  EXPECT_THROW((void)service.schedule(req), std::invalid_argument);
-  EXPECT_THROW((void)service.schedule(req), std::invalid_argument)
+  EXPECT_THROW((void)submit_wait(service, req), std::invalid_argument);
+  EXPECT_THROW((void)submit_wait(service, req), std::invalid_argument)
       << "the failure is recomputed, not served from cache";
   EXPECT_EQ(service.cache_stats().entries, 0u);
 }
@@ -432,15 +596,18 @@ TEST(SchedulingService, BatchIsolatesPerRequestFailures) {
   reqs[0] = {handle, "ParSubtrees", 4, 0, false};
   reqs[1] = {handle, "NoSuchAlgo", 4, 0, false};
   reqs[2] = {handle, "Liu", 4, 0, false};
-  const std::vector<ScheduleResponse> responses =
-      service.schedule_batch(reqs);
-  ASSERT_EQ(responses.size(), 3u);
-  EXPECT_TRUE(responses[0].ok());
-  EXPECT_FALSE(responses[1].ok());
-  EXPECT_EQ(responses[1].error->code, ErrorCode::kUnknownAlgorithm);
-  EXPECT_TRUE(responses[2].ok());
-  EXPECT_GT(responses[0].makespan, 0.0);
-  EXPECT_GT(responses[2].makespan, 0.0);
+  std::vector<Ticket> tickets;
+  for (const ScheduleRequest& req : reqs) {
+    tickets.push_back(service.submit(req));
+  }
+  std::vector<ServiceResult> results;
+  for (Ticket& ticket : tickets) results.push_back(ticket.wait());
+  ASSERT_TRUE(results[0].ok());
+  ASSERT_FALSE(results[1].ok());
+  EXPECT_EQ(results[1].error().code, ErrorCode::kUnknownAlgorithm);
+  ASSERT_TRUE(results[2].ok());
+  EXPECT_GT(results[0].value().makespan, 0.0);
+  EXPECT_GT(results[2].value().makespan, 0.0);
 }
 
 TEST(SchedulingService, BatchPreservesRequestOrder) {
@@ -452,13 +619,15 @@ TEST(SchedulingService, BatchPreservesRequestOrder) {
     reqs.push_back({h1, "ParSubtrees", p, 0, false});
     reqs.push_back({h2, "ParInnerFirst", p, 0, false});
   }
-  const auto responses = service.schedule_batch(reqs);
-  ASSERT_EQ(responses.size(), reqs.size());
+  std::vector<Ticket> tickets;
+  for (const ScheduleRequest& req : reqs) {
+    tickets.push_back(service.submit(req));
+  }
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    ASSERT_TRUE(responses[i].ok());
-    const ScheduleResponse direct = service.schedule(reqs[i]);
-    EXPECT_EQ(responses[i].makespan, direct.makespan) << "request " << i;
-    EXPECT_EQ(responses[i].peak_memory, direct.peak_memory);
+    const ScheduleResponse batched = unwrap(tickets[i].wait());
+    const ScheduleResponse direct = submit_wait(service, reqs[i]);
+    EXPECT_EQ(batched.makespan, direct.makespan) << "request " << i;
+    EXPECT_EQ(batched.peak_memory, direct.peak_memory);
   }
 }
 
@@ -482,12 +651,12 @@ TEST(SchedulingService, ConcurrentRequestsAgreeAndStatsBalance) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        // Registry lookup + schedule() from many threads at once.
+        // Registry lookup + submit() from many threads at once.
         ScheduleRequest req;
         req.tree = handle;
         req.algo = "ParInnerFirst";
         req.p = 4;
-        const ScheduleResponse resp = service.schedule(req);
+        const ScheduleResponse resp = submit_wait(service, req);
         if (resp.makespan != expect.makespan ||
             resp.peak_memory != expect.peak_memory) {
           wrong.fetch_add(1);
@@ -527,7 +696,7 @@ TEST(SchedulingService, ConcurrentDistinctKeysScaleWithoutCorruption) {
         req.algo = algos[static_cast<std::size_t>(i) % algos.size()];
         req.p = 1 + i % 4;
         try {
-          const ScheduleResponse resp = service.schedule(req);
+          const ScheduleResponse resp = submit_wait(service, req);
           if (resp.makespan <= 0.0) failures.fetch_add(1);
         } catch (...) {
           failures.fetch_add(1);

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +40,34 @@ Tree weighted_tree(std::uint64_t seed, NodeId n = 60) {
   params.depth_bias = 1.5;
   return random_tree(params, rng);
 }
+
+/// Holds every shared-pool worker until release() (or destruction), so
+/// requests submitted meanwhile stay queued however long the test thread
+/// is descheduled. The pool is FIFO: jobs the service posts after the
+/// gate's run only once it opens. Declare it after the service, so it
+/// opens before the service's destructor drains.
+class PoolGate {
+ public:
+  PoolGate() {
+    for (unsigned w = 0; w < ThreadPool::shared().size(); ++w) {
+      ThreadPool::shared().submit([gate = gate_] { gate.wait(); });
+    }
+  }
+  PoolGate(const PoolGate&) = delete;
+  PoolGate& operator=(const PoolGate&) = delete;
+  ~PoolGate() { release(); }
+
+  void release() {
+    if (released_) return;
+    released_ = true;
+    open_.set_value();
+  }
+
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> gate_ = open_.get_future().share();
+  bool released_ = false;
+};
 
 /// Saturates every pool worker with heavy interactive work, with queued
 /// entries to spare, so a subsequently submitted Bulk request stays in
@@ -173,6 +202,7 @@ TEST(Ticket, EmptyTicketResolvesToBadRequestAndCannotCancel) {
 TEST(Ticket, TryGetAndWaitForReportPendingWhileQueued) {
   SchedulingService service;
   const TreeHandle heavy = service.intern(weighted_tree(3, 2000));
+  PoolGate gate;
   std::vector<Ticket> backlog = saturate(service, heavy);
 
   ScheduleRequest req;
@@ -184,6 +214,7 @@ TEST(Ticket, TryGetAndWaitForReportPendingWhileQueued) {
   EXPECT_FALSE(ticket.try_get().has_value()) << "still queued";
   EXPECT_FALSE(ticket.wait_for(0ms).has_value());
 
+  gate.release();
   for (Ticket& t : backlog) EXPECT_TRUE(t.wait().ok());
   EXPECT_TRUE(ticket.wait().ok());
 }
@@ -235,15 +266,17 @@ TEST(TicketErrors, SchedulerFailureCarriesTheOriginalCause) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kSchedulerFailure);
   ASSERT_NE(result.error().cause, nullptr);
-  // The legacy bridge rethrows the scheduler's own exception type.
+  // The throwing bridge rethrows the scheduler's own exception type.
   EXPECT_THROW(std::rethrow_exception(to_exception(result.error())),
                std::invalid_argument);
-  EXPECT_THROW((void)service.schedule(req), std::invalid_argument);
+  EXPECT_THROW((void)unwrap(service.submit(req).wait()),
+               std::invalid_argument);
 }
 
 TEST(TicketErrors, DeadlineExpiryIsTypedAndCostsNoCompute) {
   SchedulingService service;
   const TreeHandle heavy = service.intern(weighted_tree(3, 2000));
+  PoolGate gate;
   std::vector<Ticket> backlog = saturate(service, heavy);
 
   ScheduleRequest req;
@@ -253,6 +286,8 @@ TEST(TicketErrors, DeadlineExpiryIsTypedAndCostsNoCompute) {
   req.priority = Priority::kBulk;
   req.deadline_ms = 0.01;
   Ticket doomed = service.submit(std::move(req));
+  std::this_thread::sleep_for(1ms);  // the deadline lapses while queued
+  gate.release();
   for (Ticket& t : backlog) EXPECT_TRUE(t.wait().ok());
   const ServiceResult result = doomed.wait();
   ASSERT_FALSE(result.ok());
@@ -283,6 +318,7 @@ TEST(TicketErrors, StoreBudgetRejectionIsTypedThroughTryIntern) {
 TEST(TicketCancel, QueuedRequestCancelsWithTypedErrorAndCounts) {
   SchedulingService service;
   const TreeHandle heavy = service.intern(weighted_tree(3, 2000));
+  PoolGate gate;
   std::vector<Ticket> backlog = saturate(service, heavy);
 
   ScheduleRequest req;
@@ -298,6 +334,7 @@ TEST(TicketCancel, QueuedRequestCancelsWithTypedErrorAndCounts) {
   EXPECT_EQ(result.error().code, ErrorCode::kCancelled);
   EXPECT_FALSE(ticket.cancel()) << "double-cancel reports false";
 
+  gate.release();
   for (Ticket& t : backlog) EXPECT_TRUE(t.wait().ok());
   const QueueStats qs = service.queue_stats();
   const ClassQueueStats& bulk = qs.of(Priority::kBulk);
@@ -465,7 +502,9 @@ TEST(TicketLifetime, TicketOutlivesServiceSafely) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy wrappers are thin shims over submit().
+// unwrap() and batches of tickets: the throwing bridge raises exactly what
+// the ticket carries, and a batch (N submits, then N waits in order)
+// keeps each request's failure on its own ticket.
 // ---------------------------------------------------------------------------
 
 TEST(LegacyWrappers, ScheduleThrowsWhatTheTicketCarries) {
@@ -474,54 +513,15 @@ TEST(LegacyWrappers, ScheduleThrowsWhatTheTicketCarries) {
   req.tree = service.intern(weighted_tree(9));
   req.algo = "NoSuchAlgo";
   req.p = 2;
-  EXPECT_THROW((void)service.schedule(req), std::invalid_argument);
+  EXPECT_THROW((void)unwrap(service.submit(req).wait()),
+               std::invalid_argument);
 
   req.algo = "ParInnerFirst";
-  const ScheduleResponse via_wrapper = service.schedule(req);
+  const ScheduleResponse via_unwrap = unwrap(service.submit(req).wait());
   const ServiceResult via_ticket = service.submit(req).wait();
   ASSERT_TRUE(via_ticket.ok());
-  EXPECT_EQ(via_wrapper.makespan, via_ticket.value().makespan);
-  EXPECT_EQ(via_wrapper.peak_memory, via_ticket.value().peak_memory);
-}
-
-TEST(LegacyWrappers, LegacyFutureIsSingleShot) {
-  SchedulingService service;
-  ScheduleRequest req;
-  req.tree = service.intern(weighted_tree(12));
-  req.algo = "ParSubtrees";
-  req.p = 2;
-  Ticket ticket = service.submit(std::move(req));
-  std::future<ScheduleResponse> future = ticket.legacy_future();
-  EXPECT_THROW((void)ticket.legacy_future(), std::logic_error)
-      << "the underlying promise has exactly one future";
-  EXPECT_TRUE(future.get().ok());
-}
-
-TEST(LegacyWrappers, ScheduleBatchIgnoresDeadlinesLikeV1) {
-  // schedule_batch keeps the v1 contract: deadlines are ignored on both
-  // its paths (width-bound: inline-vs-queued placement is a scheduling
-  // accident that must not pick which items expire; queued: stripped
-  // before delegating). schedule_prioritized is the deadline-honoring
-  // batch.
-  for (const unsigned threads : {0u, 2u}) {
-    ServiceConfig config;
-    config.threads = threads;
-    SchedulingService service(config);
-    const TreeHandle handle = service.intern(weighted_tree(13));
-    std::vector<ScheduleRequest> reqs(8);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      reqs[i].tree = handle;
-      reqs[i].algo = "ParInnerFirst";
-      reqs[i].p = 2 + static_cast<int>(i % 4);
-      reqs[i].deadline_ms = 0.0001;  // would expire if queued with it
-    }
-    const std::vector<ScheduleResponse> responses =
-        service.schedule_batch(reqs);
-    for (const ScheduleResponse& resp : responses) {
-      EXPECT_TRUE(resp.ok())
-          << "no schedule_batch item may expire (threads=" << threads << ")";
-    }
-  }
+  EXPECT_EQ(via_unwrap.makespan, via_ticket.value().makespan);
+  EXPECT_EQ(via_unwrap.peak_memory, via_ticket.value().peak_memory);
 }
 
 TEST(LegacyWrappers, BatchResponsesCarryTheTypedError) {
@@ -534,12 +534,14 @@ TEST(LegacyWrappers, BatchResponsesCarryTheTypedError) {
   reqs[1].tree = handle;
   reqs[1].algo = "ParSubtrees";
   reqs[1].p = 0;  // invalid
-  const std::vector<ScheduleResponse> responses =
-      service.schedule_batch(reqs);
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_TRUE(responses[0].ok());
-  ASSERT_FALSE(responses[1].ok());
-  EXPECT_EQ(responses[1].error->code, ErrorCode::kInvalidResources);
+  std::vector<Ticket> tickets;
+  for (const ScheduleRequest& req : reqs) {
+    tickets.push_back(service.submit(req));
+  }
+  EXPECT_TRUE(tickets[0].wait().ok());
+  const ServiceResult failed = tickets[1].wait();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.error().code, ErrorCode::kInvalidResources);
 }
 
 // ---------------------------------------------------------------------------
@@ -624,6 +626,7 @@ TEST(TicketOnComplete, CancellationFiresTheHookWithKCancelled) {
     SchedulingService service;
     const TreeHandle heavy =
         service.intern(weighted_tree(4, /*n=*/4000));
+    PoolGate gate;
     std::vector<Ticket> busy = saturate(service, heavy);
     ScheduleRequest req;
     req.tree = heavy;
@@ -636,6 +639,7 @@ TEST(TicketOnComplete, CancellationFiresTheHookWithKCancelled) {
       fired.fetch_add(1);
     });
     ASSERT_TRUE(doomed.cancel());
+    gate.release();
     for (Ticket& t : busy) (void)t.wait();
   }
   EXPECT_TRUE(eventually(fired, 1));
