@@ -8,7 +8,9 @@
 // plus one end-to-end benchmark per registered (non-oracle) scheduling
 // algorithm ("BM_Sched/<Name>"), registered dynamically from the registry
 // in main() so new algorithms are benchmarked without touching this file,
-// plus the scheduling-service batch path ("BM_Service/{cached,uncached}",
+// plus MemoryBounded on a realistic assembly tree
+// ("BM_MemoryBounded/assembly", kept outside the BM_Sched/ names the trend
+// gate reads), plus the scheduling-service batch path ("BM_Service/{cached,uncached}",
 // requests/sec via items_per_second).
 //
 // Every run also writes a machine-readable summary (default
@@ -27,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/dataset.hpp"
 #include "core/simulator.hpp"
 #include "parallel/par_deepest_first.hpp"
 #include "parallel/par_inner_first.hpp"
@@ -145,6 +148,24 @@ void register_scheduler_benchmarks() {
           }
         });
   }
+}
+
+// MemoryBounded at its default cap on the tree shape the cold-roster
+// workload serves (an assembly tree), where nearly every round runs the
+// banker's audit with tasks in flight — unlike the BM_Sched random tree,
+// whose rounds mostly start with nothing running.
+void register_memory_bounded_benchmark() {
+  benchmark::RegisterBenchmark(
+      "BM_MemoryBounded/assembly", [](benchmark::State& state) {
+        Rng rng(0xa55e);
+        const Tree t = synthetic_assembly_tree(4096, 2.0, rng);
+        const SchedulerPtr sched =
+            SchedulerRegistry::instance().create("MemoryBounded");
+        const Resources res{8, 0};
+        for (auto _ : state) {
+          benchmark::DoNotOptimize(sched->schedule(t, res).start.size());
+        }
+      });
 }
 
 // The service batch path: K distinct requests (trees x algos x procs)
@@ -272,6 +293,7 @@ int main(int argc, char** argv) {
     argc = out;
   }
   register_scheduler_benchmarks();
+  register_memory_bounded_benchmark();
   register_service_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

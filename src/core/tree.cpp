@@ -46,6 +46,17 @@ Tree::Tree(std::vector<NodeId> parent, std::vector<MemSize> output_size,
     }
     if (work_[i] < 0.0) throw std::invalid_argument("Tree: negative work");
   }
+  MemSize total = 0;  // sum of f_i + n_i, checked before every addition
+  for (NodeId i = 0; i < n; ++i) {
+    for (MemSize size : {output_[i], exec_[i]}) {
+      if (size > kMaxTreeMemory - total) {
+        throw std::invalid_argument(
+            "Tree: total file size exceeds 2^62 (node " + std::to_string(i) +
+            ")");
+      }
+      total += size;
+    }
+  }
   if (root_ == kNoNode) throw std::invalid_argument("Tree: no root");
   build_children();
   // Connectivity/acyclicity: a postorder from the root must visit all nodes.

@@ -24,6 +24,12 @@ using MemSize = std::uint64_t;
 
 inline constexpr NodeId kNoNode = -1;
 
+/// Upper bound on a tree's total file size, sum over i of (f_i + n_i).
+/// Tree construction rejects anything larger, so every memory amount a
+/// schedule can reach — and any difference of two such amounts — fits a
+/// signed 64-bit integer with headroom, and no memory sum can wrap.
+inline constexpr MemSize kMaxTreeMemory = MemSize{1} << 62;
+
 class Tree;
 
 /// Incremental construction helper. Nodes may be added in any order; the
@@ -59,7 +65,9 @@ class Tree {
  public:
   Tree() = default;
 
-  /// Builds from parallel arrays; `parent[root] == kNoNode`.
+  /// Builds from parallel arrays; `parent[root] == kNoNode`. Throws
+  /// std::invalid_argument on a malformed parent array, negative work, or
+  /// total file size above kMaxTreeMemory.
   Tree(std::vector<NodeId> parent, std::vector<MemSize> output_size,
        std::vector<MemSize> exec_size, std::vector<double> work);
 

@@ -15,6 +15,10 @@
 // admission, and when nothing is running the next sigma task always passes
 // the audit, so the scheduler never deadlocks and always completes.
 //
+// The audit is O(log n): a segment tree over sigma positions keeps, for the
+// not-yet-started tasks, the peak of replaying them in sigma order, and a
+// leave-one-out query excludes the candidate itself.
+//
 // Cap = infinity degenerates to plain list scheduling by the same priority;
 // cap = M_sigma degenerates to the sequential traversal. Sweeping the cap
 // between the two traces the memory/makespan trade-off curve
@@ -33,9 +37,10 @@ struct MemoryBoundedOptions {
   /// Priority among admissible ready tasks; defaults to ParDeepestFirst
   /// keys (makespan focus) if empty.
   std::vector<PriorityKey> priority;
-  /// How many queue candidates to audit per scheduling round (the audit is
-  /// O(n); bounding the scan keeps the scheduler O(n^2 / audit_window) in
-  /// the worst case while barely affecting quality).
+  /// How many ready-queue candidates to pop and audit per scheduling round
+  /// while tasks are running. It bounds the heap pops per round (each
+  /// O(log n), audit included), and it shapes the schedule: a candidate
+  /// past the window waits for the next round even if admissible.
   int audit_window = 16;
 };
 

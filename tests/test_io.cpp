@@ -68,6 +68,18 @@ TEST(TreeIo, RejectsTruncatedBody) {
   EXPECT_THROW(read_tree(ss), std::runtime_error);
 }
 
+TEST(TreeIo, RejectsTotalFileSizeAboveTheBound) {
+  // Each size parses as a u64, but together they pass 2^62: a typed
+  // invalid_argument, never a tree whose memory sums wrap.
+  std::stringstream ss;
+  ss << "treesched-tree v1\n2\n-1 4611686018427387904 0 1\n"
+     << "0 1 0 1\n";
+  EXPECT_THROW(read_tree(ss), std::invalid_argument);
+  std::stringstream max;
+  max << "treesched-tree v1\n1\n-1 18446744073709551615 0 1\n";
+  EXPECT_THROW(read_tree(max), std::invalid_argument);
+}
+
 TEST(TreeIo, FileRoundTrip) {
   Rng rng(73);
   Tree t = random_pebble_tree(50, rng);

@@ -308,6 +308,26 @@ TEST(ScheduleServer, FileSpecsAreConfinedToTheConfiguredTreeDir) {
   std::remove(path.c_str());
 }
 
+TEST(ScheduleServer, FileTreeOverTheMemoryBoundIsABadRequest) {
+  std::string dir = ::testing::TempDir();
+  if (dir.empty() || dir.back() != '/') dir += '/';
+  const std::string path = dir + "net_huge_tree.txt";
+  {
+    std::ofstream os(path);
+    os << "treesched-tree v1\n2\n-1 18446744073709551615 0 1\n0 1 0 1\n";
+  }
+  ServerConfig config;
+  config.tree_dir = dir;
+  ServerHarness harness(config);
+  Client client = connect(harness);
+  const ResponseLine err =
+      client.request("file:net_huge_tree.txt MemoryBounded 4 id=1");
+  ASSERT_FALSE(err.ok);
+  EXPECT_EQ(err.code, ErrorCode::kBadRequest);
+  EXPECT_EQ(harness.service().store_stats().unique_trees, 0u);
+  std::remove(path.c_str());
+}
+
 TEST(ScheduleServer, HostileGeneratorSpecsAreRejectedBeforeAllocation) {
   ServerHarness harness;  // default --max-spec-nodes = 2'000'000
   Client client = connect(harness);

@@ -140,6 +140,36 @@ TEST(Tree, RejectsNegativeWork) {
   EXPECT_THROW(Tree({kNoNode}, {1}, {0}, {-1.0}), std::invalid_argument);
 }
 
+TEST(Tree, AcceptsTotalFileSizeAtTheBound) {
+  const MemSize half = kMaxTreeMemory / 2;
+  Tree t({kNoNode, 0}, {half, half - 1}, {0, 1}, {1.0, 1.0});
+  EXPECT_EQ(t.processing_memory(1), half);
+  Tree one({kNoNode}, {kMaxTreeMemory}, {0}, {1.0});
+  EXPECT_EQ(one.processing_memory(0), kMaxTreeMemory);
+}
+
+TEST(Tree, RejectsTotalFileSizeAboveTheBound) {
+  EXPECT_THROW(Tree({kNoNode}, {kMaxTreeMemory}, {1}, {1.0}),
+               std::invalid_argument);
+  // Spread over many nodes, each size alone far below the bound.
+  const std::size_t n = 5;
+  std::vector<NodeId> parent(n, 0);
+  parent[0] = kNoNode;
+  EXPECT_THROW(Tree(parent, std::vector<MemSize>(n, kMaxTreeMemory / 4),
+                    std::vector<MemSize>(n, 0), std::vector<double>(n, 1.0)),
+               std::invalid_argument);
+}
+
+TEST(Tree, RejectsFileSizesWhoseSumWrapsAround) {
+  // 2^63 + 2^63 wraps to 0 in u64: the bound must see through the wrap.
+  const MemSize half_range = MemSize{1} << 63;
+  EXPECT_THROW(Tree({kNoNode, 0}, {half_range, half_range}, {0, 0},
+                    {1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(Tree({kNoNode}, {~MemSize{0}}, {1}, {1.0}),
+               std::invalid_argument);
+}
+
 TEST(TreeBuilder, BuildsIncrementally) {
   TreeBuilder b;
   NodeId r = b.add_node(kNoNode, 1, 0, 1.0);
