@@ -8,9 +8,10 @@
 // plus one end-to-end benchmark per registered (non-oracle) scheduling
 // algorithm ("BM_Sched/<Name>"), registered dynamically from the registry
 // in main() so new algorithms are benchmarked without touching this file,
-// plus MemoryBounded on a realistic assembly tree
-// ("BM_MemoryBounded/assembly", kept outside the BM_Sched/ names the trend
-// gate reads), plus the scheduling-service batch path ("BM_Service/{cached,uncached}",
+// plus MemoryBounded, CappedSubtrees and the simulator on a realistic
+// assembly tree ("BM_MemoryBounded/assembly", "BM_CappedSubtrees/assembly",
+// "BM_Simulate/assembly", kept outside the BM_Sched/ names the trend gate
+// reads), plus the scheduling-service batch path ("BM_Service/{cached,uncached}",
 // requests/sec via items_per_second).
 //
 // Every run also writes a machine-readable summary (default
@@ -168,6 +169,36 @@ void register_memory_bounded_benchmark() {
       });
 }
 
+// CappedSubtrees at its default cap on the same assembly tree: the split,
+// one sliced traversal, the floor and the audited schedule from one plan.
+void register_capped_subtrees_benchmark() {
+  benchmark::RegisterBenchmark(
+      "BM_CappedSubtrees/assembly", [](benchmark::State& state) {
+        Rng rng(0xa55e);
+        const Tree t = synthetic_assembly_tree(4096, 2.0, rng);
+        const SchedulerPtr sched =
+            SchedulerRegistry::instance().create("CappedSubtrees");
+        const Resources res{8, 0};
+        for (auto _ : state) {
+          benchmark::DoNotOptimize(sched->schedule(t, res).start.size());
+        }
+      });
+}
+
+// simulate() of a p=8 schedule of the same assembly tree: the replay every
+// cold service request runs once.
+void register_simulate_assembly_benchmark() {
+  benchmark::RegisterBenchmark(
+      "BM_Simulate/assembly", [](benchmark::State& state) {
+        Rng rng(0xa55e);
+        const Tree t = synthetic_assembly_tree(4096, 2.0, rng);
+        const Schedule s = par_deepest_first(t, 8);
+        for (auto _ : state) {
+          benchmark::DoNotOptimize(simulate(t, s).peak_memory);
+        }
+      });
+}
+
 // The service batch path: K distinct requests (trees x algos x procs)
 // answered as one batch per iteration — every request submitted, then
 // every ticket waited on in submission order. Cached answers from the result
@@ -294,6 +325,8 @@ int main(int argc, char** argv) {
   }
   register_scheduler_benchmarks();
   register_memory_bounded_benchmark();
+  register_capped_subtrees_benchmark();
+  register_simulate_assembly_benchmark();
   register_service_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

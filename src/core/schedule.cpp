@@ -51,6 +51,7 @@ ValidationResult validate_schedule(const Tree& tree, const Schedule& s,
   };
   const NodeId n = tree.size();
   if (s.size() != n) return fail("schedule size != tree size");
+  int procs_used = 0;
   for (NodeId i = 0; i < n; ++i) {
     if (!(s.start[i] >= 0.0) || !std::isfinite(s.start[i])) {
       return fail("task has invalid start time");
@@ -61,6 +62,7 @@ ValidationResult validate_schedule(const Tree& tree, const Schedule& s,
          << p << ")";
       return fail(os.str());
     }
+    procs_used = std::max(procs_used, s.proc[i] + 1);
   }
   // Precedence: children must finish before the parent starts.
   for (NodeId i = 0; i < n; ++i) {
@@ -73,12 +75,17 @@ ValidationResult validate_schedule(const Tree& tree, const Schedule& s,
       }
     }
   }
-  // Per-processor overlap: sort each processor's tasks by start time.
-  std::vector<std::vector<NodeId>> per_proc(static_cast<std::size_t>(p));
+  // Per-processor overlap: sort each processor's tasks by start time, then
+  // finish (a zero-work task starting with another precedes it), then id.
+  std::vector<std::vector<NodeId>> per_proc(
+      static_cast<std::size_t>(procs_used));
   for (NodeId i = 0; i < n; ++i) per_proc[s.proc[i]].push_back(i);
   for (auto& tasks : per_proc) {
     std::sort(tasks.begin(), tasks.end(), [&](NodeId a, NodeId b) {
-      return s.start[a] < s.start[b];
+      if (s.start[a] != s.start[b]) return s.start[a] < s.start[b];
+      const double fa = s.finish(tree, a), fb = s.finish(tree, b);
+      if (fa != fb) return fa < fb;
+      return a < b;
     });
     for (std::size_t k = 1; k < tasks.size(); ++k) {
       NodeId prev = tasks[k - 1], cur = tasks[k];

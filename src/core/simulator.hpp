@@ -5,13 +5,18 @@
 //  * when task i STARTS, its inputs (the outputs f_c of its children) are
 //    already resident; the simulator additionally allocates n_i + f_i;
 //  * when task i FINISHES, n_i and all the children outputs f_c are freed;
-//    f_i stays resident until the parent finishes (forever for the root).
+//    f_i stays resident until the parent finishes (forever for the root);
+//  * a task of zero work (finishing within the replay's relative time
+//    tolerance of 1e-9 of its start) finishes right after it starts, never
+//    before; equal-time starts replay such tasks first, children before
+//    parents, then the others.
 //
 // Peak memory can only change at task starts (allocations) so the peak is
 // sampled there; the full step profile is also available for plotting and
 // for the memory-bounded scheduler's audits.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -51,5 +56,10 @@ SimulationResult simulate(const Tree& tree, const Schedule& s,
 /// but O(n) with no event machinery; used in algorithm inner loops.
 MemSize sequential_peak_memory(const Tree& tree,
                                const std::vector<NodeId>& order);
+
+/// Peak memory of running `order` sequentially from empty memory, where
+/// `order` is a children-before-parents traversal of one or more whole
+/// subtrees (e.g. a slice of a whole-tree traversal). O(|order|).
+MemSize subtree_peak_memory(const Tree& tree, std::span<const NodeId> order);
 
 }  // namespace treesched

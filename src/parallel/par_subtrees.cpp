@@ -1,9 +1,8 @@
 #include "parallel/par_subtrees.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cstddef>
 #include <stdexcept>
-#include <tuple>
 
 #include "sequential/liu.hpp"
 #include "sequential/postorder.hpp"
@@ -26,96 +25,151 @@ struct PqEntry {
   }
 };
 
-// One pass of Algorithm 2 up to `steps` splits; returns the PQ content and
-// seqSet at that point. Shared by the cost scan and the final rebuild.
-struct SplitState {
-  std::multiset<PqEntry> pq;
-  std::vector<NodeId> seq_nodes;
-  double seq_work = 0.0;
-};
+// Heap order putting the PQ head (the smallest PqEntry) on top.
+bool heap_after(const PqEntry& a, const PqEntry& b) { return b < a; }
 
-SplitState split_to_rank(const Tree& tree, const std::vector<double>& W,
-                         int steps) {
-  SplitState st;
-  st.pq.insert({W[tree.root()], tree.work(tree.root()), tree.root()});
-  for (int s = 0; s < steps; ++s) {
-    const PqEntry head = *st.pq.begin();
-    st.pq.erase(st.pq.begin());
-    st.seq_nodes.push_back(head.node);
-    st.seq_work += tree.work(head.node);
-    for (NodeId c : tree.children(head.node)) {
-      st.pq.insert({W[c], tree.work(c), c});
-    }
-  }
-  return st;
-}
+}  // namespace
 
-// Sequential traversal of a whole tree under the chosen algorithm.
-std::vector<NodeId> sequential_order(const Tree& tree, SequentialAlgo algo) {
+std::vector<NodeId> sequential_order(const Tree& tree, SequentialAlgo algo,
+                                     MemSize* peak) {
+  MemSize unused = 0;
+  MemSize& out = peak != nullptr ? *peak : unused;
   switch (algo) {
-    case SequentialAlgo::kOptimalPostorder:
-      return postorder(tree, PostorderPolicy::kOptimal).order;
-    case SequentialAlgo::kLiuExact:
-      return liu_optimal_traversal(tree).order;
-    case SequentialAlgo::kNaturalPostorder:
-      return postorder(tree, PostorderPolicy::kNatural).order;
+    case SequentialAlgo::kOptimalPostorder: {
+      auto res = postorder(tree, PostorderPolicy::kOptimal);
+      out = res.peak;
+      return std::move(res.order);
+    }
+    case SequentialAlgo::kLiuExact: {
+      auto res = liu_optimal_traversal(tree);
+      out = res.peak;
+      return std::move(res.order);
+    }
+    case SequentialAlgo::kNaturalPostorder: {
+      auto res = postorder(tree, PostorderPolicy::kNatural);
+      out = res.peak;
+      return std::move(res.order);
+    }
   }
   throw std::logic_error("unknown SequentialAlgo");
 }
 
-}  // namespace
+SubtreeSlices slice_by_subtree(const Tree& tree,
+                               const std::vector<NodeId>& order,
+                               const std::vector<NodeId>& roots) {
+  // owner[v] = index in `roots` of the subtree holding v, or -1. Walking the
+  // traversal backwards visits every parent before its children.
+  std::vector<NodeId> owner(static_cast<std::size_t>(tree.size()), kNoNode);
+  for (std::size_t k = 0; k < roots.size(); ++k) {
+    owner[roots[k]] = static_cast<NodeId>(k);
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const NodeId v = *it;
+    const NodeId up = tree.parent(v);
+    if (owner[v] == kNoNode && up != kNoNode) owner[v] = owner[up];
+  }
+  SubtreeSlices slices;
+  slices.offset.assign(roots.size() + 1, 0);
+  for (NodeId v : order) {
+    if (owner[v] != kNoNode) ++slices.offset[owner[v] + 1];
+  }
+  for (std::size_t k = 0; k < roots.size(); ++k) {
+    slices.offset[k + 1] += slices.offset[k];
+  }
+  slices.nodes.resize(slices.offset.back());
+  std::vector<std::size_t> cursor(slices.offset.begin(),
+                                  slices.offset.end() - 1);
+  for (NodeId v : order) {
+    if (owner[v] != kNoNode) slices.nodes[cursor[owner[v]]++] = v;
+  }
+  return slices;
+}
 
 SplitResult split_subtrees(const Tree& tree, int p) {
   if (p < 1) throw std::invalid_argument("split_subtrees: p < 1");
   if (tree.empty()) return {};
   const std::vector<double> W = tree.subtree_work();
+  auto entry = [&](NodeId v) { return PqEntry{W[v], tree.work(v), v}; };
 
-  // Cost scan: replay Algorithm 2, tracking the PQ as an ordered multiset,
-  // its total W, and the sum of the p largest W (O(p) refresh per step).
-  std::multiset<PqEntry> pq;
-  pq.insert({W[tree.root()], tree.work(tree.root()), tree.root()});
+  // The PQ of Algorithm 2, split in two: `top` holds its first
+  // min(p, |PQ|) entries in order, `rest` the others as a heap. Every entry
+  // of `top` precedes every entry of `rest`.
+  const auto width = static_cast<std::size_t>(std::min(p, tree.size()));
+  std::vector<PqEntry> top;
+  top.reserve(width);
+  std::vector<PqEntry> rest;
+  auto push = [&](const PqEntry& e) {
+    if (top.size() == width) {
+      if (!(e < top.back())) {
+        rest.push_back(e);
+        std::push_heap(rest.begin(), rest.end(), heap_after);
+        return;
+      }
+      rest.push_back(top.back());
+      std::push_heap(rest.begin(), rest.end(), heap_after);
+      top.pop_back();
+    }
+    top.insert(std::upper_bound(top.begin(), top.end(), e), e);
+  };
+  auto pop_head = [&]() {
+    top.erase(top.begin());
+    if (!rest.empty()) {
+      std::pop_heap(rest.begin(), rest.end(), heap_after);
+      top.push_back(rest.back());
+      rest.pop_back();
+    }
+  };
+
+  top.push_back(entry(tree.root()));
   double pq_total = W[tree.root()];
   double seq_work = 0.0;
 
   auto cost_now = [&]() {
     double top_p = 0.0;
-    int k = 0;
-    double head_w = 0.0;
-    for (auto it = pq.begin(); it != pq.end() && k < p; ++it, ++k) {
-      top_p += it->W;
-      if (k == 0) head_w = it->W;
-    }
+    for (const PqEntry& e : top) top_p += e.W;
     // parallel time = heaviest subtree; sequential = split nodes + surplus
-    return head_w + seq_work + (pq_total - top_p);
+    return top.front().W + seq_work + (pq_total - top_p);
   };
 
+  // The heads popped so far, in order: the split at rank k sequentializes
+  // popped[0..k).
+  std::vector<NodeId> popped;
   int best_rank = 0;
   double best_cost = cost_now();  // Cost(0) = W_root
-  int rank = 0;
   while (true) {
-    const PqEntry head = *pq.begin();
+    const PqEntry head = top.front();
     if (!(head.W > tree.work(head.node))) break;  // head is a leaf
-    pq.erase(pq.begin());
+    pop_head();
+    popped.push_back(head.node);
     pq_total -= head.W;
     seq_work += tree.work(head.node);
     for (NodeId c : tree.children(head.node)) {
-      pq.insert({W[c], tree.work(c), c});
+      push(entry(c));
       pq_total += W[c];
     }
-    ++rank;
     const double c = cost_now();
     if (c < best_cost) {
       best_cost = c;
-      best_rank = rank;
+      best_rank = static_cast<int>(popped.size());
     }
   }
 
-  // Rebuild the chosen split.
-  SplitState st = split_to_rank(tree, W, best_rank);
+  // The PQ after best_rank pops: the root and every child of a popped head,
+  // minus the popped heads themselves.
   SplitResult res;
-  res.seq_nodes = std::move(st.seq_nodes);
-  res.subtree_roots.reserve(st.pq.size());
-  for (const PqEntry& e : st.pq) res.subtree_roots.push_back(e.node);
+  res.seq_nodes.assign(popped.begin(), popped.begin() + best_rank);
+  std::vector<char> is_seq(static_cast<std::size_t>(tree.size()), 0);
+  for (NodeId v : res.seq_nodes) is_seq[v] = 1;
+  std::vector<PqEntry> roots;
+  if (!is_seq[tree.root()]) roots.push_back(entry(tree.root()));
+  for (NodeId v : res.seq_nodes) {
+    for (NodeId c : tree.children(v)) {
+      if (!is_seq[c]) roots.push_back(entry(c));
+    }
+  }
+  std::sort(roots.begin(), roots.end());
+  res.subtree_roots.reserve(roots.size());
+  for (const PqEntry& e : roots) res.subtree_roots.push_back(e.node);
   res.predicted_makespan = best_cost;
   return res;
 }
@@ -128,50 +182,40 @@ Schedule par_subtrees(const Tree& tree, int p, ParSubtreesOptions opts) {
 
   const SplitResult split = split_subtrees(tree, p);
   const std::vector<double> W = tree.subtree_work();
+  // Sorted by non-increasing W (PQ order).
+  const std::vector<NodeId>& roots = split.subtree_roots;
 
-  // Which subtrees run in the parallel phase, and on which processor.
-  // subtree_roots are already sorted by non-increasing W (PQ order).
-  std::vector<NodeId> parallel_roots, surplus_roots;
-  std::vector<int> root_proc;
-  std::vector<double> proc_ready(static_cast<std::size_t>(p), 0.0);
-  if (!opts.optimized_packing) {
-    // Algorithm 1: the p heaviest subtrees run in parallel, one per
-    // processor; the rest join the sequential tail.
-    for (std::size_t k = 0; k < split.subtree_roots.size(); ++k) {
-      if (static_cast<int>(k) < p) {
-        parallel_roots.push_back(split.subtree_roots[k]);
-        root_proc.push_back(static_cast<int>(k));
-      } else {
-        surplus_roots.push_back(split.subtree_roots[k]);
-      }
+  // Which subtrees run in the parallel phase (a prefix of `roots`), and on
+  // which processor. Algorithm 1: the p heaviest, one per processor; the
+  // rest join the sequential tail. ParSubtreesOptim: all of them,
+  // LPT-packed. Only the first |roots| processors can ever be used.
+  const std::size_t procs =
+      std::min(static_cast<std::size_t>(p), roots.size());
+  const std::size_t parallel = opts.optimized_packing ? roots.size() : procs;
+  std::vector<int> root_proc(parallel);
+  std::vector<double> proc_ready(procs, 0.0);
+  for (std::size_t k = 0; k < parallel; ++k) {
+    auto q = static_cast<std::ptrdiff_t>(k);  // Algorithm 1: processor k
+    if (opts.optimized_packing) {  // LPT: the first least-loaded processor
+      q = std::min_element(proc_ready.begin(), proc_ready.end()) -
+          proc_ready.begin();
+      proc_ready[q] += W[roots[k]];
     }
-  } else {
-    // ParSubtreesOptim: LPT-pack all subtrees onto the p processors.
-    for (NodeId r : split.subtree_roots) {
-      int best = 0;
-      for (int q = 1; q < p; ++q) {
-        if (proc_ready[q] < proc_ready[best]) best = q;
-      }
-      parallel_roots.push_back(r);
-      root_proc.push_back(best);
-      proc_ready[best] += W[r];
-    }
+    root_proc[k] = static_cast<int>(q);
   }
 
-  // Lay out the parallel phase.
+  // Lay out the parallel phase: each subtree runs its slice of the
+  // whole-tree traversal, which is its own traversal under opts.sequential.
+  const std::vector<NodeId> order = sequential_order(tree, opts.sequential);
+  const SubtreeSlices slices = slice_by_subtree(tree, order, roots);
   std::fill(proc_ready.begin(), proc_ready.end(), 0.0);
-  for (std::size_t k = 0; k < parallel_roots.size(); ++k) {
-    const NodeId r = parallel_roots[k];
+  for (std::size_t k = 0; k < parallel; ++k) {
     const int q = root_proc[k];
-    std::vector<NodeId> old_ids;
-    const Tree sub = tree.subtree(r, &old_ids);
-    const std::vector<NodeId> order = sequential_order(sub, opts.sequential);
     double t = proc_ready[q];
-    for (NodeId local : order) {
-      const NodeId global = old_ids[local];
-      s.start[global] = t;
-      s.proc[global] = q;
-      t += tree.work(global);
+    for (NodeId v : slices[k]) {
+      s.start[v] = t;
+      s.proc[v] = q;
+      t += tree.work(v);
     }
     proc_ready[q] = t;
   }
@@ -182,19 +226,13 @@ Schedule par_subtrees(const Tree& tree, int p, ParSubtreesOptions opts) {
   // a memory-minimizing traversal of the whole tree restricted to them
   // (filtering a valid traversal keeps children before parents).
   std::vector<char> in_tail(static_cast<std::size_t>(n), 0);
-  for (NodeId r : surplus_roots) {
-    std::vector<NodeId> stack{r};
-    while (!stack.empty()) {
-      NodeId v = stack.back();
-      stack.pop_back();
-      in_tail[v] = 1;
-      for (NodeId c : tree.children(v)) stack.push_back(c);
-    }
+  for (std::size_t k = parallel; k < roots.size(); ++k) {
+    for (NodeId v : slices[k]) in_tail[v] = 1;
   }
   for (NodeId v : split.seq_nodes) in_tail[v] = 1;
 
   double t = t_par;
-  for (NodeId v : sequential_order(tree, opts.sequential)) {
+  for (NodeId v : order) {
     if (!in_tail[v]) continue;
     s.start[v] = t;
     s.proc[v] = 0;

@@ -17,6 +17,8 @@
 // processors LPT-style (longest processing time first), which improves the
 // makespan but can increase memory (more subtrees in flight at once).
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -30,6 +32,30 @@ enum class SequentialAlgo {
   kLiuExact,          ///< Liu'87 exact optimal traversal
   kNaturalPostorder,  ///< naive postorder (ablation baseline)
 };
+
+/// Whole-tree traversal (children before parents) under `algo`; stores the
+/// traversal's peak memory in `*peak` when given.
+std::vector<NodeId> sequential_order(const Tree& tree, SequentialAlgo algo,
+                                     MemSize* peak = nullptr);
+
+/// A traversal cut into the pieces covering disjoint subtrees: slice k
+/// lists the nodes of the subtree rooted at roots[k], in traversal order.
+struct SubtreeSlices {
+  std::vector<NodeId> nodes;
+  std::vector<std::size_t> offset;  ///< slice k: nodes[offset[k], offset[k+1])
+
+  [[nodiscard]] std::span<const NodeId> operator[](std::size_t k) const {
+    return {nodes.data() + offset[k], nodes.data() + offset[k + 1]};
+  }
+};
+
+/// Restricts the whole-tree traversal `order` to each of the subtrees
+/// rooted at `roots` (no root may lie in another's subtree). O(n) in total.
+/// Liu's traversal and the postorders are built bottom-up, so each slice
+/// is the traversal the same algorithm produces for that subtree alone.
+SubtreeSlices slice_by_subtree(const Tree& tree,
+                               const std::vector<NodeId>& order,
+                               const std::vector<NodeId>& roots);
 
 /// Outcome of SplitSubtrees (Algorithm 2).
 struct SplitResult {

@@ -40,8 +40,9 @@ class ParSubtreesSched final : public Scheduler {
   std::string name() const override { return "ParSubtrees"; }
   SchedulerCapabilities capabilities() const override { return {}; }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
-    validate_resources(res, capabilities(), name());
-    return par_subtrees(tree, res.p);
+    const Resources run =
+        effective_resources(tree, res, capabilities(), name());
+    return par_subtrees(tree, run.p);
   }
 };
 
@@ -50,8 +51,9 @@ class ParSubtreesOptimSched final : public Scheduler {
   std::string name() const override { return "ParSubtreesOptim"; }
   SchedulerCapabilities capabilities() const override { return {}; }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
-    validate_resources(res, capabilities(), name());
-    return par_subtrees_optim(tree, res.p);
+    const Resources run =
+        effective_resources(tree, res, capabilities(), name());
+    return par_subtrees_optim(tree, run.p);
   }
 };
 
@@ -60,8 +62,9 @@ class ParInnerFirstSched final : public Scheduler {
   std::string name() const override { return "ParInnerFirst"; }
   SchedulerCapabilities capabilities() const override { return {}; }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
-    validate_resources(res, capabilities(), name());
-    return par_inner_first(tree, res.p);
+    const Resources run =
+        effective_resources(tree, res, capabilities(), name());
+    return par_inner_first(tree, run.p);
   }
 };
 
@@ -70,8 +73,9 @@ class ParDeepestFirstSched final : public Scheduler {
   std::string name() const override { return "ParDeepestFirst"; }
   SchedulerCapabilities capabilities() const override { return {}; }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
-    validate_resources(res, capabilities(), name());
-    return par_deepest_first(tree, res.p);
+    const Resources run =
+        effective_resources(tree, res, capabilities(), name());
+    return par_deepest_first(tree, run.p);
   }
 };
 
@@ -83,10 +87,11 @@ class ParDeepestFirstSched final : public Scheduler {
 
 constexpr double kDefaultCapFactor = 2.0;
 
-/// The derived default cap: kDefaultCapFactor x the best-postorder peak.
-MemSize default_cap(const Tree& tree) {
-  return static_cast<MemSize>(std::ceil(
-      kDefaultCapFactor * static_cast<double>(min_feasible_cap(tree))));
+/// The derived default cap: kDefaultCapFactor x `floor`, the
+/// best-postorder peak (min_feasible_cap).
+MemSize default_cap(MemSize floor) {
+  return static_cast<MemSize>(
+      std::ceil(kDefaultCapFactor * static_cast<double>(floor)));
 }
 
 class MemoryBoundedSched final : public Scheduler {
@@ -98,10 +103,12 @@ class MemoryBoundedSched final : public Scheduler {
     return caps;
   }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
-    validate_resources(res, capabilities(), name());
-    const MemSize cap = res.memory_cap != 0 ? res.memory_cap
-                                            : default_cap(tree);
-    auto r = memory_bounded_schedule(tree, res.p, cap);
+    const Resources run =
+        effective_resources(tree, res, capabilities(), name());
+    const MemSize cap = run.memory_cap != 0
+                            ? run.memory_cap
+                            : default_cap(min_feasible_cap(tree));
+    auto r = memory_bounded_schedule(tree, run.p, cap);
     if (!r) {
       throw std::invalid_argument(name() + ": cap " + std::to_string(cap) +
                                   " below the feasibility floor " +
@@ -120,21 +127,23 @@ class CappedSubtreesSched final : public Scheduler {
     return caps;
   }
   Schedule schedule(const Tree& tree, const Resources& res) const override {
-    validate_resources(res, capabilities(), name());
-    // The scheme's own floor can exceed kDefaultCapFactor x the postorder
-    // peak, so the derived cap takes the max; the (expensive) floor is
-    // only computed when a cap is actually derived or reported.
+    const Resources run =
+        effective_resources(tree, res, capabilities(), name());
+    // One plan serves the floor, the derived cap and the schedule. The
+    // scheme's own floor can exceed kDefaultCapFactor x the postorder peak,
+    // so the derived cap takes the max; the floor is only computed when a
+    // cap is actually derived or reported. The plan's optimal-postorder
+    // traversal peak is min_feasible_cap(tree).
+    const CappedSubtreesPlan plan(tree, run.p);
     const MemSize cap =
-        res.memory_cap != 0
-            ? res.memory_cap
-            : std::max(capped_subtrees_min_cap(tree, res.p),
-                       default_cap(tree));
-    auto r = capped_subtrees_schedule(tree, res.p, cap);
+        run.memory_cap != 0
+            ? run.memory_cap
+            : std::max(plan.min_cap(), default_cap(plan.traversal_peak()));
+    auto r = plan.schedule(cap);
     if (!r) {
-      throw std::invalid_argument(
-          name() + ": cap " + std::to_string(cap) +
-          " below the feasibility floor " +
-          std::to_string(capped_subtrees_min_cap(tree, res.p)));
+      throw std::invalid_argument(name() + ": cap " + std::to_string(cap) +
+                                  " below the feasibility floor " +
+                                  std::to_string(plan.min_cap()));
     }
     return std::move(r->schedule);
   }

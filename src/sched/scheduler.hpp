@@ -77,4 +77,14 @@ void validate_resources(const Resources& res,
                         const SchedulerCapabilities& caps,
                         const std::string& who);
 
+/// validate_resources(), then the Resources an algorithm runs with: p is
+/// clamped to max(n, 1). n tasks never keep more than n processors busy,
+/// so the schedule is the one p would give, but per-processor state stays
+/// O(n) whatever p a client asks for. Every builtin parallel scheduler
+/// calls this before its algorithm; the sequential ones ignore p.
+[[nodiscard]] Resources effective_resources(const Tree& tree,
+                                            const Resources& res,
+                                            const SchedulerCapabilities& caps,
+                                            const std::string& who);
+
 }  // namespace treesched

@@ -18,6 +18,7 @@
 #include "parallel/par_deepest_first.hpp"
 #include "parallel/par_inner_first.hpp"
 #include "parallel/par_subtrees.hpp"
+#include "sched/validate.hpp"
 #include "sequential/bruteforce.hpp"
 #include "sequential/liu.hpp"
 #include "sequential/postorder.hpp"
@@ -137,6 +138,27 @@ TEST(SchedulerRegistry, RegistryPathMatchesNativeCallsExactly) {
         EXPECT_EQ(via_registry.start, direct.start) << name << " p=" << p;
         EXPECT_EQ(via_registry.proc, direct.proc) << name << " p=" << p;
       }
+    }
+  }
+}
+
+TEST(SchedulerRegistry, ProcessorCountBeyondTreeSizeIsClamped) {
+  // A client may ask for any p; the registry runs the algorithm with
+  // min(p, n) processors, which schedules exactly as p does. p = 2^20 stays
+  // cheap even if the clamp regresses; larger values would not.
+  constexpr int kHugeP = 1 << 20;
+  Rng rng(1413);
+  const std::vector<Tree> trees{weighted_tree(4, 200),
+                                synthetic_assembly_tree(300, 2.0, rng)};
+  for (const Tree& t : trees) {
+    for (const std::string& name : parallel_campaign_algorithms()) {
+      const SchedulerPtr sched = SchedulerRegistry::instance().create(name);
+      const Schedule at_n = sched->schedule(t, Resources{t.size(), 0});
+      const Schedule huge = sched->schedule(t, Resources{kHugeP, 0});
+      EXPECT_EQ(huge.start, at_n.start) << name;
+      EXPECT_EQ(huge.proc, at_n.proc) << name;
+      const ScheduleCheck check = check_schedule(t, huge, kHugeP);
+      EXPECT_TRUE(check.ok) << name << ": " << check.error;
     }
   }
 }

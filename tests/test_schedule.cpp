@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "sched/registry.hpp"
+#include "sched/validate.hpp"
 #include "test_helpers.hpp"
 
 namespace treesched {
@@ -86,6 +90,24 @@ TEST(Validate, BackToBackOnSameProcessorIsOk) {
   s.start = {2.0, 0.0, 1.0};
   s.proc = {0, 0, 0};
   EXPECT_TRUE(validate_schedule(t, s, 1).ok);
+}
+
+TEST(Validate, ZeroWorkTaskStartingWithItsParentIsNoOverlap) {
+  // The leaf (w=0) and the root both start at time 0 on processor 0.
+  const Tree t = testing::make_tree({kNoNode, 0}, {1, 10}, {5, 100},
+                                    {1.0, 0.0});
+  const Schedule s = sequential_schedule(t, {1, 0});
+  EXPECT_TRUE(validate_schedule(t, s, 1).ok);
+  for (const std::string& name : SchedulerRegistry::instance().names()) {
+    for (int p : {1, 2, 4}) {
+      const Schedule got =
+          SchedulerRegistry::instance().create(name)->schedule(
+              t, Resources{p, 0});
+      const ScheduleCheck check = check_schedule(t, got, p);
+      EXPECT_TRUE(check.ok) << name << " p=" << p << ": " << check.error;
+      EXPECT_EQ(check.peak_memory, 110u) << name << " p=" << p;
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/schedule.hpp"
+#include "sched/registry.hpp"
 #include "sequential/postorder.hpp"
 #include "test_helpers.hpp"
 #include "trees/generators.hpp"
@@ -141,6 +144,51 @@ TEST(Simulator, TaskStartingExactlyAtChildFinishIsAccepted) {
   s.start = {1.0, 0.0};
   s.proc = {0, 0};
   EXPECT_NO_THROW(simulate(t, s));
+}
+
+// A root (w=1, n=5, f=1) whose one leaf child does no work (w=0, n=100,
+// f=10). The leaf's finish coincides with its own start and its parent's.
+Tree zero_work_leaf_tree() {
+  return make_tree({kNoNode, 0}, {1, 10}, {5, 100}, {1.0, 0.0});
+}
+
+TEST(Simulator, ZeroWorkLeafFinishesAfterItsStart) {
+  const Tree t = zero_work_leaf_tree();
+  const Schedule s = sequential_schedule(t, {1, 0});
+  SimulationOptions opts;
+  opts.record_profile = true;
+  const auto r = simulate(t, s, opts);
+  EXPECT_EQ(r.peak_memory, 110u);
+  EXPECT_EQ(r.peak_memory, sequential_peak_memory(t, {1, 0}));
+  EXPECT_EQ(r.final_memory, 1u);
+  EXPECT_DOUBLE_EQ(r.makespan, 1.0);
+  ASSERT_FALSE(r.profile.empty());
+  EXPECT_EQ(r.profile.back().mem, 1u);
+}
+
+TEST(Simulator, ZeroWorkChainRunsChildrenFirst) {
+  // 3 -> 2 -> 1 -> 0 with zero-work 1, 2 and 3, all starting at time 0,
+  // listed with the parent ids first.
+  const Tree t = make_tree({kNoNode, 0, 1, 2}, {1, 2, 3, 4}, {1, 1, 1, 1},
+                           {1.0, 0.0, 0.0, 0.0});
+  const Schedule s = sequential_schedule(t, {3, 2, 1, 0});
+  const auto r = simulate(t, s);
+  EXPECT_EQ(r.peak_memory, sequential_peak_memory(t, {3, 2, 1, 0}));
+  EXPECT_EQ(r.final_memory, 1u);
+}
+
+TEST(Simulator, ZeroWorkLeafUnderEveryRegistryScheduler) {
+  const Tree t = zero_work_leaf_tree();
+  for (const std::string& name : SchedulerRegistry::instance().names()) {
+    for (int p : {1, 2, 4}) {
+      const Schedule s =
+          SchedulerRegistry::instance().create(name)->schedule(
+              t, Resources{p, 0});
+      const auto r = simulate(t, s);
+      EXPECT_EQ(r.peak_memory, 110u) << name << " p=" << p;
+      EXPECT_EQ(r.final_memory, 1u) << name << " p=" << p;
+    }
+  }
 }
 
 }  // namespace
