@@ -53,12 +53,12 @@ int main(int argc, char** argv) {
     config.vnodes = static_cast<int>(args.get_int("vnodes", 64));
     config.load_factor = args.get_double("load-factor", 1.25);
     config.max_conns = static_cast<std::size_t>(args.get_int("max-conns", 256));
-    config.max_pending =
-        static_cast<std::size_t>(args.get_int("max-pending", 64));
-    config.max_wbuf =
-        static_cast<std::size_t>(args.get_int("max-wbuf-kb", 256)) << 10;
-    config.max_frame =
-        static_cast<std::size_t>(args.get_int("max-frame-kb", 1024)) << 10;
+    config.max_pending = static_cast<std::size_t>(
+        args.get_int("max-pending", std::int64_t{net::kDefaultMaxPending}));
+    config.max_wbuf = static_cast<std::size_t>(args.get_int(
+        "max-wbuf-kb", std::int64_t{net::kDefaultMaxWbuf >> 10})) << 10;
+    config.max_frame = static_cast<std::size_t>(args.get_int(
+        "max-frame-kb", std::int64_t{net::kDefaultMaxFrame >> 10})) << 10;
     config.handle_signals = true;
     config.metrics_port = static_cast<int>(args.get_int("metrics-port", -1));
     config.trace_dir = args.get("trace-dir", "");

@@ -57,14 +57,14 @@ int main(int argc, char** argv) {
     server_config.port = static_cast<std::uint16_t>(args.get_int("port", 0));
     server_config.bind = args.get("bind", "127.0.0.1");
     server_config.unix_path = args.get("unix", "");
-    server_config.max_frame =
-        static_cast<std::size_t>(args.get_int("max-frame-kb", 1024)) << 10;
+    server_config.max_frame = static_cast<std::size_t>(args.get_int(
+        "max-frame-kb", std::int64_t{net::kDefaultMaxFrame >> 10})) << 10;
     server_config.max_conns =
         static_cast<std::size_t>(args.get_int("max-conns", 256));
-    server_config.max_pending =
-        static_cast<std::size_t>(args.get_int("max-pending", 64));
-    server_config.max_wbuf =
-        static_cast<std::size_t>(args.get_int("max-wbuf-kb", 256)) << 10;
+    server_config.max_pending = static_cast<std::size_t>(
+        args.get_int("max-pending", std::int64_t{net::kDefaultMaxPending}));
+    server_config.max_wbuf = static_cast<std::size_t>(args.get_int(
+        "max-wbuf-kb", std::int64_t{net::kDefaultMaxWbuf >> 10})) << 10;
     server_config.handle_signals = true;
     server_config.metrics_port = static_cast<int>(args.get_int("metrics-port", -1));
     server_config.slow_ms = args.get_double("slow-ms", 0.0);

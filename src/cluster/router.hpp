@@ -7,9 +7,21 @@
 // router exactly as they would to one node; the cluster is invisible
 // except for being larger.
 //
-//   Client ──v2/v3──> RouterConnection ──route()──> Upstream ──v3──> node
-//      ^                    |   ^                      │
-//      └──── response ──────┘   └──── deliver() <──────┘ (id remapped)
+//   Client ──v2/v3──> net::Session ──route()──> Upstream ──v3──> node
+//      ^                    |   ^                     │
+//      └──── response ──────┘   └──── settle() <──────┘ (id remapped)
+//
+// The client side is the same net::Session the single-node server uses
+// (net/session.hpp); the router is the tier behind it. It resolves the
+// spec to its routing fingerprint, routes, and settles the session's
+// window entry when the node's answer comes back — the session puts the
+// client's own tag back on it. `cancel` stops at the router: a forward
+// still queued here is withdrawn and answered `cancelled`; one already
+// on the wire acks "request already forwarded or answered" (see
+// withdraw() for why cancels are never forwarded). ping answers
+// locally (it probes THIS hop), stats aggregates router and backend
+// counters, and trace drives the router's own span recorder, with
+// start/stop broadcast to every node and `dump` merging all of them.
 //
 // Routing: the router resolves each request's tree spec to the SAME
 // 64-bit content fingerprint the backends intern by (it builds the tree
@@ -52,11 +64,7 @@
 
 #include "cluster/ring.hpp"
 #include "cluster/upstream.hpp"
-#include "net/event_loop.hpp"
-#include "net/frame.hpp"
-#include "net/line_framer.hpp"
-#include "net/listener.hpp"
-#include "net/metrics_http.hpp"
+#include "net/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/errors.hpp"
@@ -64,8 +72,6 @@
 #include "util/result.hpp"
 
 namespace treesched::cluster {
-
-class RouterConnection;
 
 struct RouterConfig {
   /// IPv4 address the client-facing listener binds.
@@ -81,11 +87,12 @@ struct RouterConfig {
   /// ceil(c * (total + 1) / live) in-flight forwards is skipped for the
   /// next ring alternate. Larger = stickier placement, spikier load.
   double load_factor = 1.25;
-  /// Client-facing limits, same meaning as the single-node server's.
+  /// Client-facing limits, same meaning (and defaults) as the
+  /// single-node server's (net/limits.hpp).
   std::size_t max_conns = 256;
-  std::size_t max_pending = 64;
-  std::size_t max_wbuf = 256 * 1024;
-  std::size_t max_line = net::LineFramer::kDefaultMaxLine;
+  std::size_t max_pending = net::kDefaultMaxPending;
+  std::size_t max_wbuf = net::kDefaultMaxWbuf;
+  std::size_t max_line = net::kDefaultMaxLine;
   std::size_t max_frame = net::kDefaultMaxFrame;
   /// Install a signalfd for SIGTERM/SIGINT and drain gracefully (the
   /// caller must block both signals first, like schedule_server does).
@@ -140,16 +147,9 @@ struct RouterConfig {
 };
 
 /// Monotonic router counters (loop-thread state, reported by `stats`
-/// and bridged into the metrics registry).
+/// and bridged into the metrics registry) beside the client-protocol
+/// ones every front-end keeps (net::SessionCounters).
 struct RouterCounters {
-  std::uint64_t accepted = 0;         ///< client connections accepted
-  std::uint64_t rejected_conns = 0;   ///< turned away at max_conns
-  std::uint64_t lines = 0;            ///< client requests framed
-  std::uint64_t v3_conns = 0;         ///< clients that negotiated v3
-  std::uint64_t frames_in = 0;        ///< well-formed client v3 frames
-  std::uint64_t frames_bad = 0;       ///< protocol-violating client frames
-  std::uint64_t batch_requests = 0;   ///< requests arriving in batches
-  std::uint64_t parse_errors = 0;     ///< requests the grammar rejected
   std::uint64_t forwarded = 0;        ///< forwards handed to an upstream
   std::uint64_t responses = 0;        ///< backend answers delivered
   std::uint64_t retried = 0;          ///< forwards re-routed after a death
@@ -163,38 +163,21 @@ struct RouterCounters {
   std::uint64_t cancelled = 0;        ///< forwards cancelled while queued
 };
 
-class Router {
+class Router : public net::SessionHost {
  public:
   /// Binds the client listener and resolves the node list (throws
   /// std::invalid_argument / std::system_error) but does not serve yet.
+  /// run() serves until stop()/SIGTERM, then drains: the listener
+  /// closes, every accepted request is answered (by a backend or a
+  /// typed error), buffers flush, and run() returns.
   explicit Router(RouterConfig config);
-  ~Router();
+  ~Router() override;
 
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  [[nodiscard]] const std::string& address() const {
-    return listener_.address();
-  }
   [[nodiscard]] const RouterConfig& config() const { return config_; }
-  [[nodiscard]] std::uint16_t metrics_port() const {
-    return metrics_http_ ? metrics_http_->port() : 0;
-  }
   /// The router's own registry (scraped by --metrics-port).
   [[nodiscard]] obs::MetricsRegistry& registry() { return registry_; }
 
-  /// Serves until stop()/SIGTERM, then drains: the listener closes,
-  /// every accepted request is answered (by a backend or a typed
-  /// error), buffers flush, and run() returns. Blocks; the calling
-  /// thread becomes the I/O thread.
-  void run();
-
-  /// Begins a graceful drain from any thread.
-  void stop();
-
  private:
-  friend class RouterConnection;
   friend class Upstream;
 
   struct SpecHash {
@@ -204,8 +187,37 @@ class Router {
     }
   };
 
-  // --- RouterConnection-facing surface (loop thread only) -------------
-  net::EventLoop& loop() { return loop_; }
+  // --- SessionHost dispatch (loop thread) -----------------------------
+  /// Fingerprints the spec, re-spells the request as its canonical
+  /// forward line and routes it; the entry settles when the node
+  /// answers, or at once with a typed error.
+  void schedule(net::Session& session, std::uint64_t key,
+                const RequestView& req,
+                const net::TraceContext& ctx) override;
+  bool cancel(net::Session& session, std::uint64_t key) override;
+  void abandon(std::uint64_t conn_id, std::uint64_t key) override;
+  /// Router counters, per-node routing counters, then the
+  /// backend_-prefixed aggregate.
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
+  stats_pairs() const override;
+  /// Kicks off one merged cluster dump: pulls every live backend's span
+  /// ring, merges with the router's own, writes Chrome JSON to `path`,
+  /// then settles the entry — possibly from a later event-loop turn.
+  /// A dump already in flight answers a typed error instead.
+  void trace_dump(net::Session& session, std::uint64_t key,
+                  std::string path) override;
+  /// Broadcasts `trace start`/`trace stop` to every live backend
+  /// (fire-and-forget; nodes that are down catch up on reconnect when
+  /// tracing is still enabled).
+  void trace_toggled(bool enabled) override;
+  /// Per backend node, the `trace pull`s lost to node deaths — what a
+  /// truncated or partial merged dump traces back to.
+  void trace_status(std::vector<std::pair<std::string, std::uint64_t>>&
+                        stats) const override;
+  /// Starts the health timer (and the first connects).
+  void on_run() override;
+  void after_run() override;
+
   RouterCounters& counters() { return counters_; }
   /// Spec -> routing fingerprint: builds the tree once under the same
   /// limits a node enforces, fingerprints it, memoizes, DROPS the tree.
@@ -217,45 +229,17 @@ class Router {
   /// error (kNodeUnavailable when no node is up, kQueueFull when every
   /// live alternate is at its queue bound).
   Result<std::size_t, ServiceError> route(Forward fwd);
-  /// Cancels a still-queued forward on `node`. False once it is on the
-  /// wire (or already answered) — then only the backend could stop it,
-  /// and the router deliberately never forwards cancels: a failed
-  /// remote cancel acks UNTAGGED, which is unattributable on a
-  /// multiplexed upstream connection shared by many clients.
-  bool try_cancel(std::size_t node, std::uint64_t conn_id,
-                  std::uint64_t key);
-  /// Posts the removal of connection `id` (idempotent).
-  void defer_close(std::uint64_t conn_id);
-  [[nodiscard]] bool draining() const { return draining_; }
-  /// The `stats` verb's payload: router counters, per-node routing
-  /// counters, then the backend_-prefixed aggregate.
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
-  stats_pairs() const;
+  /// Removes the still-queued forward of window entry (conn_id, key)
+  /// from whichever node holds it. False once it is on the wire (or
+  /// answered) — then only the backend could stop it, and the router
+  /// deliberately never forwards cancels: a failed remote cancel acks
+  /// UNTAGGED, which is unattributable on a multiplexed upstream
+  /// connection shared by many clients.
+  bool withdraw(std::uint64_t conn_id, std::uint64_t key);
   /// Fresh nonzero distributed trace id for one client request. Plain
   /// counter — ids only need to be unique within this router's trace
   /// window, and the origin field already namespaces processes.
   std::uint64_t next_trace_id() { return next_trace_id_++; }
-  /// Router-side SLO accounting: one settled client request of priority
-  /// class `cls` (kPriorityClasses = unclassified), error or success.
-  void note_settled(int cls, bool ok);
-  /// Broadcasts a `trace start`/`trace stop` control line to every live
-  /// backend (fire-and-forget; nodes that are down catch up on
-  /// reconnect when tracing is still enabled).
-  void broadcast_trace_ctl(const std::string& line);
-  /// Kicks off one merged cluster dump: pulls every live backend's span
-  /// ring, merges with the router's own, writes Chrome JSON to `path`
-  /// (already confined by the caller), then settles the client window
-  /// entry (conn_id, key). False with `error` set when a dump is
-  /// already in flight or no span source exists. The caller must have
-  /// pushed the window entry BEFORE calling — the reply may be
-  /// delivered from a later event-loop turn.
-  bool start_trace_dump(std::uint64_t conn_id, std::uint64_t key,
-                        std::string path, std::string& error);
-  /// Lifetime `trace pull` failures per node (trace status satellite).
-  [[nodiscard]] std::uint64_t trace_pull_failures(std::size_t node) const {
-    return node < trace_pull_failures_.size() ? trace_pull_failures_[node]
-                                              : 0;
-  }
 
   // --- Upstream-facing surface (loop thread only) ---------------------
   /// Upstream wire ids, unique across every backend socket for the
@@ -277,13 +261,9 @@ class Router {
   /// the in-flight merged dump finish without that node.
   void on_trace_pull_failed(std::size_t node);
 
-  void accept_ready();
-  void begin_drain();
-  void maybe_finish();
   void init_metrics();
-  /// Delivers a router-generated error to a client window entry.
-  void settle_error(std::uint64_t conn_id, std::uint64_t key,
-                    ErrorCode code, std::string message);
+  /// Settles a client window entry (dropped if the client is gone).
+  void settle(std::uint64_t conn_id, std::uint64_t key, ResponseLine line);
   /// Writes the merged Chrome JSON and settles the dump's client window
   /// entry; called when the last awaited pull answered or failed.
   void finish_trace_dump();
@@ -301,43 +281,28 @@ class Router {
   };
 
   RouterConfig config_;
-  net::EventLoop loop_;
-  net::Listener listener_;
   obs::MetricsRegistry registry_;
-  std::unique_ptr<net::MetricsHttp> metrics_http_;
-  int signal_fd_ = -1;
   int health_timer_fd_ = -1;
-  int drain_timer_fd_ = -1;
-  bool listener_active_ = false;
 
   HashRing ring_;
   std::vector<std::unique_ptr<Upstream>> upstreams_;
   std::vector<std::uint64_t> routed_;  ///< per-node forwards routed
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<RouterConnection>>
-      conns_;
   std::unordered_map<std::string, std::uint64_t, SpecHash, std::equal_to<>>
       spec_memo_;
   RouterCounters counters_;
-  std::uint64_t next_conn_id_ = 1;
   std::uint64_t next_uid_ = 1;
   std::uint64_t next_trace_id_ = 1;
-  bool draining_ = false;
 
   std::unique_ptr<TraceDump> trace_dump_;
   /// Lifetime per-node `trace pull` failures (trace status reports
   /// these as nodeK_pull_failures).
   std::vector<std::uint64_t> trace_pull_failures_;
 
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   obs::Histogram* h_upstream_ = nullptr;  ///< forward send -> answer
   /// Per-class upstream-latency histograms; their sliding windows back
   /// the router's rolling per-class p99 gauges.
   obs::Histogram* h_upstream_class_[kPriorityClasses] = {};
-  /// Sliding last-minute settled/errored counts per priority class
-  /// ([kPriorityClasses] = all), read by the error-ratio gauges.
-  obs::SlidingCounter slo_responses_[kPriorityClasses + 1];
-  obs::SlidingCounter slo_errors_[kPriorityClasses + 1];
 };
 
 }  // namespace treesched::cluster

@@ -74,13 +74,13 @@
 #include <string_view>
 #include <vector>
 
+#include "net/limits.hpp"
 #include "service/request_line.hpp"
 
 namespace treesched::net {
 
 inline constexpr std::string_view kFrameMagic = "\xB3TS3";
 inline constexpr std::size_t kFrameHeaderLen = 8;
-inline constexpr std::size_t kDefaultMaxFrame = 1 << 20;
 
 enum class Opcode : std::uint8_t {
   // client -> server

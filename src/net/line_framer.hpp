@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "net/limits.hpp"
+
 namespace treesched::net {
 
 class LineFramer {
@@ -54,8 +56,6 @@ class LineFramer {
   [[nodiscard]] std::size_t partial_bytes() const { return partial_.size(); }
 
   [[nodiscard]] std::size_t max_line() const { return max_line_; }
-
-  static constexpr std::size_t kDefaultMaxLine = 64 * 1024;
 
  private:
   Line take_line();

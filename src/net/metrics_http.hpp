@@ -13,7 +13,7 @@
 // handed in — the same thread that owns the scheduling server's
 // connections when the endpoint shares its loop. That is what makes it
 // safe to snapshot collectors that read loop-thread state (the server's
-// ServerCounters bridge): the scrape and the counter writes are
+// SessionCounters bridge): the scrape and the counter writes are
 // serialized by construction, not by locks.
 
 #include <cstdint>

@@ -1,15 +1,7 @@
 #include "net/server.hpp"
 
-#include <signal.h>
-#include <sys/epoll.h>
-#include <sys/signalfd.h>
-#include <sys/socket.h>
-#include <sys/timerfd.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <system_error>
+#include <fstream>
 #include <utility>
 
 #include "campaign/dataset.hpp"
@@ -19,35 +11,30 @@
 
 namespace treesched::net {
 
+namespace {
+
+HostConfig host_config(const ServerConfig& c) {
+  HostConfig h = shared_host_config(c);
+  h.tier = "server";
+  h.cancel_too_late = "running";
+  h.listener = ListenerConfig{
+      .bind = c.bind, .port = c.port, .unix_path = c.unix_path};
+  return h;
+}
+
+}  // namespace
+
 Server::Server(SchedulingService& service, ServerConfig config)
-    : service_(service),
-      config_(std::move(config)),
-      listener_(ListenerConfig{.bind = config_.bind,
-                               .port = config_.port,
-                               .unix_path = config_.unix_path}) {
-  if (!config_.log_json.empty() && !obs::EventLog::global().enabled()) {
-    std::string error;
-    if (!obs::EventLog::global().open(config_.log_json, error)) {
-      throw std::system_error(
-          std::make_error_code(std::errc::io_error),
-          "cannot open --log-json sink: " + error);
-    }
-  }
+    : SessionHost(host_config(config)),
+      service_(service),
+      config_(std::move(config)) {
   init_metrics();
-  if (config_.metrics_port >= 0) {
-    metrics_http_ = std::make_unique<MetricsHttp>(
-        loop_, service_.registry(),
-        ListenerConfig{
-            .bind = config_.metrics_bind,
-            .port = static_cast<std::uint16_t>(config_.metrics_port),
-            .unix_path = {}});
-  }
+  serve_metrics(service_.registry());
 }
 
 Server::~Server() {
-  *alive_ = false;
-  if (signal_fd_ >= 0) ::close(signal_fd_);
-  if (drain_timer_fd_ >= 0) ::close(drain_timer_fd_);
+  *alive_ = false;  // the service's registry outlives this server
+  close_sessions();
 }
 
 void Server::init_metrics() {
@@ -59,7 +46,7 @@ void Server::init_metrics() {
   reg.register_collector(
       [this, alive = std::weak_ptr<bool>(alive_)](obs::RegistrySnapshot& out) {
         if (alive.expired()) return;
-        const ServerCounters& sc = counters_;
+        const SessionCounters& sc = session_counters_;
         auto counter = [&](const char* name, const char* help, double v) {
           out.samples.push_back(obs::MetricSample{
               name, "", help, obs::MetricKind::kCounter, v, ""});
@@ -78,7 +65,7 @@ void Server::init_metrics() {
                 static_cast<double>(sc.lines));
         counter("treesched_server_submitted_total",
                 "Tickets submitted to the service",
-                static_cast<double>(sc.submitted));
+                static_cast<double>(submitted_));
         counter("treesched_server_v3_conns_total",
                 "Connections that negotiated binary protocol v3",
                 static_cast<double>(sc.v3_conns));
@@ -95,34 +82,14 @@ void Server::init_metrics() {
                 "Requests rejected by the grammar",
                 static_cast<double>(sc.parse_errors));
         gauge("treesched_server_connections", "Open connections",
-              static_cast<double>(conns_.size()));
+              static_cast<double>(session_count()));
         gauge("treesched_server_outstanding",
               "Submitted tickets not yet settled",
-              static_cast<double>(outstanding_));
+              static_cast<double>(outstanding()));
       });
-  // Windowed SLO error ratio, one gauge per priority class: errors over
-  // responses across the sliding last-minute window (0 when idle).
-  reg.register_collector(
-      [this, alive = std::weak_ptr<bool>(alive_)](obs::RegistrySnapshot& out) {
-        if (alive.expired()) return;
-        for (int c = 0; c <= kPriorityClasses; ++c) {
-          const char* label = c == kPriorityClasses
-                                  ? "all"
-                                  : to_string(static_cast<Priority>(c));
-          const std::uint64_t total = slo_responses_[c].windowed();
-          const std::uint64_t errors = slo_errors_[c].windowed();
-          out.samples.push_back(obs::MetricSample{
-              "treesched_slo_error_ratio",
-              std::string("class=\"") + label + "\"",
-              "Errored share of responses over the sliding last-minute "
-              "window",
-              obs::MetricKind::kGauge,
-              total == 0 ? 0.0
-                         : static_cast<double>(errors) /
-                               static_cast<double>(total),
-              ""});
-        }
-      });
+  register_slo_gauges(
+      reg, "treesched_slo_error_ratio",
+      "Errored share of responses over the sliding last-minute window");
   h_net_e2e_ = &reg.histogram(
       "treesched_net_e2e_seconds", "",
       "Accept-to-flush wall time of one served request",
@@ -150,14 +117,172 @@ void Server::init_metrics() {
   }
 }
 
-void Server::note_response(int cls, bool ok) {
-  if (cls < 0 || cls > kPriorityClasses) cls = kPriorityClasses;
-  slo_responses_[cls].inc();
-  if (!ok) slo_errors_[cls].inc();
-  if (cls != kPriorityClasses) {
-    slo_responses_[kPriorityClasses].inc();
-    if (!ok) slo_errors_[kPriorityClasses].inc();
+void Server::schedule(Session& session, std::uint64_t key,
+                      const RequestView& req, const TraceContext& ctx) {
+  Result<TreeHandle, ServiceError> handle = intern_spec(req.tree_spec);
+  if (!handle.ok()) {
+    session.settle(key, ResponseLine::error(handle.error().code,
+                                            handle.error().message));
+    return;
   }
+  // The single owned copy of the request's strings: everything upstream
+  // of this point was views into the read buffer.
+  Reply meta;
+  meta.tree_hash = handle.value().hash;
+  meta.n = handle.value()->size();
+  meta.algo = std::string(req.algo);
+  meta.p = req.p;
+  meta.priority = req.priority;
+  meta.trace_id = ctx.trace_id;
+  ScheduleRequest sreq;
+  // Accept and parse are stamped at burst granularity: sub-burst parse
+  // time is noise at the histograms' microsecond resolution, and sharing
+  // the stamp keeps the hot path at one clock read per read burst.
+  sreq.stamps.stamp(obs::Stage::kAccept, session.burst_ns());
+  sreq.stamps.stamp(obs::Stage::kParse, session.burst_ns());
+  sreq.tree = handle.value();
+  sreq.algo = meta.algo;
+  sreq.p = req.p;
+  sreq.memory_cap = req.memory_cap;
+  sreq.priority = req.priority;
+  sreq.deadline_ms = req.deadline_ms;
+
+  // Cache-hit fast path, right here on the I/O thread: a hit settles
+  // the window entry immediately — no ticket, no queue, no pool job, no
+  // eventfd round trip — and flushes with the read burst, so a cache-hot
+  // batch frame answers in one coalesced write. Ordering is preserved
+  // because the answer still rides the pending window.
+  if (auto hit = service_.try_cached(sreq)) {
+    reply(session, key, meta, ServiceResult(std::move(*hit)));
+    return;
+  }
+
+  ++submitted_;
+  const JobKey job_key{session.id(), key};
+  Job& job = jobs_[job_key];
+  job.reply = std::move(meta);
+  job.ticket = service_.submit(std::move(sreq));
+  // Attached after the job is registered: an already-settled ticket
+  // (service-level queue_full) fires inline and posts, and the posted
+  // job_settled finds its job. The callback runs on whichever thread
+  // settles the ticket; the copy hands the result to the loop thread,
+  // and the job is retired only there, so the drain cannot finish while
+  // a completion is still in flight toward the loop.
+  job.ticket.on_complete([this, job_key](const ServiceResult& result) {
+    loop().post([this, job_key, result] {
+      job_settled(job_key.first, job_key.second, result);
+    });
+  });
+}
+
+void Server::job_settled(std::uint64_t conn_id, std::uint64_t key,
+                         const ServiceResult& result) {
+  const auto it = jobs_.find(JobKey{conn_id, key});
+  if (it == jobs_.end()) return;
+  if (Session* s = session(conn_id)) reply(*s, key, it->second.reply, result);
+  jobs_.erase(it);
+  if (draining()) maybe_finish();
+}
+
+void Server::reply(Session& session, std::uint64_t key, const Reply& meta,
+                    const ServiceResult& result) {
+  if (!result.ok()) {
+    session.settle(key, ResponseLine::error(result.error().code,
+                                            result.error().message));
+    return;
+  }
+  const ScheduleResponse& resp = result.value();
+  ResponseLine line;
+  line.ok = true;
+  line.tree_hash = meta.tree_hash;
+  line.n = meta.n;
+  line.algo = meta.algo;
+  line.p = meta.p;
+  line.makespan = resp.makespan;
+  line.peak_memory = resp.peak_memory;
+  line.cache_hit = resp.cache_hit;
+  line.priority = meta.priority;
+  // Requests born before stamping (in-process callers' cached entries)
+  // carry no stamps worth a histogram.
+  std::optional<ResponseTiming> timing;
+  if (resp.stamps.has(obs::Stage::kAccept)) {
+    timing.emplace();
+    timing->stamps = resp.stamps;
+    timing->priority = meta.priority;
+    timing->algo = meta.algo;
+    timing->cache_hit = resp.cache_hit;
+    timing->trace_id = meta.trace_id;
+  }
+  session.settle(key, std::move(line), std::move(timing));
+}
+
+bool Server::cancel(Session& session, std::uint64_t key) {
+  // On success the ticket settled with code=cancelled; its completion is
+  // already posted to the loop and answers the entry.
+  const auto it = jobs_.find(JobKey{session.id(), key});
+  return it != jobs_.end() && it->second.ticket.cancel();
+}
+
+void Server::abandon(std::uint64_t conn_id, std::uint64_t key) {
+  // A vanished client's queued work must not occupy a worker. Tickets a
+  // worker already picked up run to completion; their settlements find
+  // the session gone and only retire the job.
+  const auto it = jobs_.find(JobKey{conn_id, key});
+  if (it != jobs_.end()) (void)it->second.ticket.cancel();
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> Server::stats_pairs()
+    const {
+  const SessionCounters& sc = session_counters_;
+  // Transport-specific counters first, then the shared service
+  // vocabulary (service_stats_pairs keeps both front-ends aligned).
+  std::vector<std::pair<std::string, std::uint64_t>> out = {
+      {"conns", session_count()},
+      {"accepted", sc.accepted},
+      {"rejected_conns", sc.rejected_conns},
+      {"lines", sc.lines},
+      {"submitted", submitted_},
+      {"outstanding", outstanding()},
+      {"v3_conns", sc.v3_conns},
+      {"frames_in", sc.frames_in},
+      {"frames_bad", sc.frames_bad},
+      {"batch_requests", sc.batch_requests},
+      {"parse_errors", sc.parse_errors},
+  };
+  for (auto& pair : service_stats_pairs(service_)) {
+    out.push_back(std::move(pair));
+  }
+  return out;
+}
+
+void Server::trace_dump(Session& session, std::uint64_t key,
+                        std::string path) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  std::ofstream out{path};
+  if (!out) {
+    session.settle(key, ResponseLine::error(
+                            ErrorCode::kBadRequest,
+                            "cannot open trace path \"" + path +
+                                "\" for writing"));
+    return;
+  }
+  const std::uint64_t written = tracer.write_chrome_trace(out);
+  if (!out) {
+    session.settle(key, ResponseLine::error(
+                            ErrorCode::kBadRequest,
+                            "short write dumping trace to \"" + path + "\""));
+    return;
+  }
+  ResponseLine line;
+  line.kind = ResponseLine::Kind::kTrace;
+  line.ok = true;
+  line.stats = {
+      {"enabled", tracer.enabled() ? 1 : 0},
+      {"spans", tracer.recorded()},
+      {"dropped", tracer.dropped()},
+      {"written", written},
+  };
+  session.settle(key, std::move(line));
 }
 
 void Server::record_flushed(const ResponseTiming& timing) {
@@ -223,75 +348,6 @@ void Server::record_flushed(const ResponseTiming& timing) {
   std::fputs(line.c_str(), stderr);
 }
 
-void Server::run() {
-  loop_.add(listener_.fd(), EPOLLIN,
-            [this](std::uint32_t) { accept_ready(); });
-  listener_active_ = true;
-  if (metrics_http_) metrics_http_->start();
-  if (config_.handle_signals) {
-    sigset_t mask;
-    sigemptyset(&mask);
-    sigaddset(&mask, SIGTERM);
-    sigaddset(&mask, SIGINT);
-    signal_fd_ = ::signalfd(-1, &mask, SFD_NONBLOCK | SFD_CLOEXEC);
-    if (signal_fd_ < 0) {
-      throw std::system_error(errno, std::generic_category(), "signalfd");
-    }
-    loop_.add(signal_fd_, EPOLLIN, [this](std::uint32_t) {
-      signalfd_siginfo info;
-      while (::read(signal_fd_, &info, sizeof(info)) > 0) {
-      }
-      begin_drain();
-    });
-  }
-  loop_.run();
-  // Drained: no connection and no outstanding ticket — every accepted
-  // request was answered or cancelled, and no Ticket::on_complete
-  // callback can reach this Server again. (run()'s caller is the loop
-  // thread, so tearing down the scrape endpoint here is in-contract.)
-  if (metrics_http_) metrics_http_->stop();
-  if (signal_fd_ >= 0) {
-    loop_.remove(signal_fd_);
-    ::close(signal_fd_);
-    signal_fd_ = -1;
-  }
-  if (drain_timer_fd_ >= 0) {
-    loop_.remove(drain_timer_fd_);
-    ::close(drain_timer_fd_);
-    drain_timer_fd_ = -1;
-  }
-}
-
-void Server::stop() {
-  loop_.post([this] { begin_drain(); });
-}
-
-void Server::accept_ready() {
-  listener_.accept_ready([this](int fd) {
-    if (draining_) {
-      ::close(fd);
-      return;
-    }
-    if (conns_.size() >= config_.max_conns) {
-      ++counters_.rejected_conns;
-      // Best-effort courtesy line: a one-shot blocking-ish write on a
-      // fresh socket virtually always fits the send buffer.
-      ResponseLine line;
-      line.ok = false;
-      line.code = ErrorCode::kQueueFull;
-      line.message = "server at max connections (" +
-                     std::to_string(config_.max_conns) + ")";
-      const std::string text = format_response_line(line) + "\n";
-      (void)::send(fd, text.data(), text.size(), MSG_NOSIGNAL);
-      ::close(fd);
-      return;
-    }
-    ++counters_.accepted;
-    const std::uint64_t id = next_conn_id_++;
-    conns_.emplace(id, std::make_unique<Connection>(*this, fd, id));
-  });
-}
-
 Result<TreeHandle, ServiceError> Server::intern_spec(std::string_view spec) {
   // Heterogeneous find: the hot path (a spec seen before, which is what
   // a steady workload looks like) costs zero allocations even when the
@@ -317,86 +373,6 @@ Result<TreeHandle, ServiceError> Server::intern_spec(std::string_view spec) {
   } catch (const std::exception& e) {
     return ServiceError{ErrorCode::kBadRequest, e.what(),
                         std::current_exception()};
-  }
-}
-
-void Server::note_submitted() {
-  ++counters_.submitted;
-  ++outstanding_;
-}
-
-void Server::ticket_settled(std::uint64_t conn_id, std::uint64_t key,
-                            const ServiceResult& result) {
-  // Runs on whichever thread settled the ticket (pool worker, or the
-  // I/O thread itself for cancellations and admission rejections); the
-  // copy hands the result to the loop thread. outstanding_ is
-  // decremented only there, so the drain cannot finish while a
-  // completion is still in flight toward the loop.
-  loop_.post([this, conn_id, key, result] {
-    --outstanding_;
-    const auto it = conns_.find(conn_id);
-    if (it != conns_.end()) it->second->deliver(key, result);
-    if (draining_) maybe_finish();
-  });
-}
-
-void Server::defer_close(std::uint64_t conn_id) {
-  loop_.post([this, conn_id] {
-    conns_.erase(conn_id);  // idempotent; destructor cancels + closes
-    if (draining_) maybe_finish();
-  });
-}
-
-void Server::begin_drain() {
-  if (draining_) return;
-  draining_ = true;
-  obs::EventLog::global().emit(
-      "drain_begin", 0,
-      {obs::EventLog::Field::u64("conns", conns_.size()),
-       obs::EventLog::Field::u64("outstanding", outstanding_)});
-  if (listener_active_) {
-    loop_.remove(listener_.fd());
-    listener_active_ = false;
-  }
-  if (config_.drain_timeout_ms > 0.0 && drain_timer_fd_ < 0) {
-    // The drain's hard ceiling: a client that never reads its answers
-    // keeps its write buffer from flushing, which would hold run() up
-    // forever. Past the timeout every remaining connection closes —
-    // undelivered answers are dropped, queued tickets cancelled — and
-    // the outstanding-ticket accounting finishes the drain as usual.
-    drain_timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
-    if (drain_timer_fd_ >= 0) {
-      const auto ns =
-          static_cast<std::uint64_t>(config_.drain_timeout_ms * 1e6);
-      itimerspec spec{};
-      spec.it_value.tv_sec = static_cast<time_t>(ns / 1'000'000'000ULL);
-      spec.it_value.tv_nsec = static_cast<long>(ns % 1'000'000'000ULL);
-      if (spec.it_value.tv_sec == 0 && spec.it_value.tv_nsec == 0) {
-        spec.it_value.tv_nsec = 1;
-      }
-      ::timerfd_settime(drain_timer_fd_, 0, &spec, nullptr);
-      loop_.add(drain_timer_fd_, EPOLLIN, [this](std::uint32_t) {
-        std::uint64_t expirations = 0;
-        while (::read(drain_timer_fd_, &expirations, sizeof(expirations)) >
-               0) {
-        }
-        // Snapshot the ids: defer_close posts erasures, and destructors
-        // must not run while we iterate the map.
-        std::vector<std::uint64_t> ids;
-        ids.reserve(conns_.size());
-        for (const auto& [id, conn] : conns_) ids.push_back(id);
-        for (const std::uint64_t id : ids) defer_close(id);
-      });
-    }
-  }
-  for (auto& [id, conn] : conns_) conn->begin_drain();
-  maybe_finish();
-}
-
-void Server::maybe_finish() {
-  if (conns_.empty() && outstanding_ == 0) {
-    obs::EventLog::global().emit("drain_complete", 0, {});
-    loop_.stop();
   }
 }
 

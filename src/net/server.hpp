@@ -7,19 +7,22 @@
 //
 //   net -> service -> sched:
 //
-//   Client ──TCP──> Connection ──submit()──> SchedulingService ─> pool
-//      ^                |  ^                        │
-//      └── response ────┘  └── EventLoop::post <────┘ Ticket::on_complete
+//   Client ──TCP──> Session ──submit()──> SchedulingService ─> pool
+//      ^              |  ^                       │
+//      └── response ──┘  └── EventLoop::post <───┘ Ticket::on_complete
 //
-// The I/O thread never blocks and never computes: requests are
-// submitted as Tickets and their completions re-enter the loop through
+// The transport and the client protocol are net::Session's (net/
+// session.hpp); the server is the tier behind it. It interns the spec,
+// answers cache hits on the I/O thread, and submits the rest as
+// Tickets whose completions re-enter the loop through
 // Ticket::on_complete -> EventLoop::post, which wakes the epoll wait.
+// The I/O thread never blocks and never computes.
 // All scheduler compute rides the service's thread pool, exactly as for
 // in-process callers — the server is a transport, not a second engine.
 //
 // Lifecycle: the constructor binds (port 0 = ephemeral, read back via
 // port()); run() serves until stop() or — with handle_signals —
-// SIGTERM/SIGINT, then drains: the listener closes, connections stop
+// SIGTERM/SIGINT, then drains: the listener closes, sessions stop
 // reading, every accepted request is answered or cancelled, write
 // buffers flush, and run() returns only when no ticket is outstanding,
 // so destroying the server (and then the service) is always safe.
@@ -33,16 +36,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <map>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
-#include "net/connection.hpp"
-#include "net/event_loop.hpp"
-#include "net/frame.hpp"
-#include "net/listener.hpp"
-#include "net/metrics_http.hpp"
+#include "net/session.hpp"
 #include "obs/metrics.hpp"
 #include "service/service.hpp"
 
@@ -60,17 +60,12 @@ struct ServerConfig {
   /// Accepted-connection bound; excess connections are answered with
   /// one queue_full error line and closed.
   std::size_t max_conns = 256;
-  /// Per-connection unsettled-request bound; excess requests answer the
-  /// typed queue_full error without reaching the service.
-  std::size_t max_pending = 64;
-  /// Per-connection write-buffer high watermark in bytes; past it the
-  /// connection stops reading until the client drains below half.
-  std::size_t max_wbuf = 256 * 1024;
-  /// Longest accepted request line (text v2); longer lines answer
-  /// bad_request.
-  std::size_t max_line = LineFramer::kDefaultMaxLine;
-  /// Largest accepted binary frame (v3); a bigger length prefix answers
-  /// bad_request and closes — the hostile length is never buffered.
+  /// Per-connection limits (defaults and their rationale: net/limits.hpp):
+  /// unsettled requests before queue_full, write-buffer high watermark,
+  /// longest text line, largest binary frame.
+  std::size_t max_pending = kDefaultMaxPending;
+  std::size_t max_wbuf = kDefaultMaxWbuf;
+  std::size_t max_line = kDefaultMaxLine;
   std::size_t max_frame = kDefaultMaxFrame;
   /// Install a signalfd for SIGTERM/SIGINT and drain gracefully on
   /// either. The caller must block both signals in every thread BEFORE
@@ -124,55 +119,17 @@ struct ServerConfig {
   double drain_timeout_ms = 0.0;
 };
 
-/// Monotonic server counters (I/O-thread state, reported by `stats`).
-struct ServerCounters {
-  std::uint64_t accepted = 0;        ///< connections accepted
-  std::uint64_t rejected_conns = 0;  ///< turned away at max_conns
-  std::uint64_t lines = 0;           ///< requests framed (text lines and
-                                     ///< binary request payloads alike)
-  std::uint64_t submitted = 0;       ///< tickets submitted to the service
-  std::uint64_t v3_conns = 0;        ///< connections that negotiated v3
-  std::uint64_t frames_in = 0;       ///< well-formed v3 frames parsed
-  std::uint64_t frames_bad = 0;      ///< protocol-violating frames
-  std::uint64_t batch_requests = 0;  ///< requests that arrived in batches
-  std::uint64_t parse_errors = 0;    ///< requests rejected by the grammar
-};
-
-class Server {
+class Server : public SessionHost {
  public:
   /// Binds the listener (throws std::system_error on failure) but does
-  /// not serve yet.
+  /// not serve yet; run() and stop() are SessionHost's.
   Server(SchedulingService& service, ServerConfig config = {});
-  ~Server();
+  ~Server() override;
 
-  Server(const Server&) = delete;
-  Server& operator=(const Server&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  /// Printable endpoint: "<bind>:<port>" or "unix:<path>".
-  [[nodiscard]] const std::string& address() const {
-    return listener_.address();
-  }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
-  /// The bound scrape port; 0 when config.metrics_port is -1 (no
-  /// endpoint). Readable right after construction — the bind happens in
-  /// the constructor, like the main listener's.
-  [[nodiscard]] std::uint16_t metrics_port() const {
-    return metrics_http_ ? metrics_http_->port() : 0;
-  }
-
-  /// Serves until stop()/SIGTERM, then drains (see file comment).
-  /// Blocks; the calling thread becomes the I/O thread.
-  void run();
-
-  /// Begins a graceful drain from any thread; run() returns once every
-  /// accepted request is answered or cancelled and buffers are flushed.
-  void stop();
 
  private:
-  friend class Connection;
-
-  /// Heterogeneous hasher so a string_view spec (v3's zero-copy path)
+  /// Heterogeneous hasher so a string_view spec (the zero-copy parse)
   /// probes the memo without materializing a std::string first.
   struct SpecHash {
     using is_transparent = void;
@@ -181,70 +138,74 @@ class Server {
     }
   };
 
-  // --- Connection-facing surface (I/O thread only) --------------------
-  EventLoop& loop() { return loop_; }
-  SchedulingService& service() { return service_; }
-  ServerCounters& counters() { return counters_; }
+  /// What replying to one request needs besides its ServiceResult.
+  struct Reply {
+    TreeHash tree_hash = 0;
+    NodeId n = 0;
+    std::string algo;
+    int p = 1;
+    Priority priority = Priority::kBatch;
+    std::uint64_t trace_id = 0;  ///< propagated v3 trace context (0 = none)
+  };
+  /// One submitted ticket, keyed by (session id, window key).
+  struct Job {
+    Ticket ticket;
+    Reply reply;
+  };
+  using JobKey = std::pair<std::uint64_t, std::uint64_t>;
+
+  // --- SessionHost dispatch (I/O thread) ------------------------------
+  void schedule(Session& session, std::uint64_t key, const RequestView& req,
+                const TraceContext& ctx) override;
+  bool cancel(Session& session, std::uint64_t key) override;
+  void abandon(std::uint64_t conn_id, std::uint64_t key) override;
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
+  stats_pairs() const override;
+  /// Writes the dump synchronously on the I/O thread, stalling every
+  /// session (and the metrics endpoint) for its duration. Accepted
+  /// deliberately: the dump is bounded (4096 spans per thread ring) and
+  /// happens only when the operator configured a trace directory and
+  /// asked for one — a diagnostic moment, not a serving-path operation.
+  void trace_dump(Session& session, std::uint64_t key,
+                  std::string path) override;
+  /// A response's last byte reached the kernel: record the transport
+  /// stage histograms (accept-to-flush, serialize-to-flush by priority
+  /// class), the net-layer trace spans, and, past config.slow_ms, log
+  /// the stage breakdown (stderr + structured event log).
+  void record_flushed(const ResponseTiming& timing) override;
+  /// Submitted tickets whose completion has not yet been processed on
+  /// the loop thread. The drain waits for zero, which guarantees no
+  /// Ticket::on_complete callback can touch a dead Server.
+  [[nodiscard]] std::uint64_t outstanding() const override {
+    return jobs_.size();
+  }
+
   /// Spec -> interned handle, memoized server-wide (all parsing happens
   /// on the I/O thread, so the memo needs no lock). The lookup is
   /// copy-free; the spec string is owned only on first sight. Failures
   /// are typed values: kBadRequest for an unresolvable spec, kStoreFull
   /// (via try_intern) past the store budget.
   Result<TreeHandle, ServiceError> intern_spec(std::string_view spec);
-  /// Registers one submitted ticket for the drain accounting and
-  /// forwards its completion to the loop. Callable from any thread
-  /// (it is the Ticket::on_complete target).
-  void ticket_settled(std::uint64_t conn_id, std::uint64_t key,
-                      const ServiceResult& result);
-  /// ++outstanding_; paired with the ticket_settled posting.
-  void note_submitted();
-  /// Posts the removal of connection `id` (safe from inside any of the
-  /// connection's own methods; idempotent).
-  void defer_close(std::uint64_t conn_id);
-  [[nodiscard]] bool draining() const { return draining_; }
-  /// A response's last byte reached the kernel: record the transport
-  /// stage histograms (accept-to-flush, serialize-to-flush by priority
-  /// class), the net-layer trace spans, and, past config.slow_ms, log
-  /// the stage breakdown (stderr + structured event log).
-  void record_flushed(const ResponseTiming& timing);
-  /// SLO accounting: one response settled for priority class `cls`
-  /// (kPriorityClasses = unclassified), error or success. Feeds the
-  /// windowed error-ratio gauges.
-  void note_response(int cls, bool ok);
-
-  void accept_ready();
-  void begin_drain();
-  void maybe_finish();
-  /// Creates the transport histograms and bridges ServerCounters into
-  /// the service's registry. The bridge reads plain I/O-thread state;
-  /// that is sound because every snapshot consumer in this process (the
+  /// Loop thread: job (conn_id, key) settled; answer its session (if
+  /// still open) and retire the job.
+  void job_settled(std::uint64_t conn_id, std::uint64_t key,
+                   const ServiceResult& result);
+  /// Settles window entry `key` of `session` with `result`.
+  static void reply(Session& session, std::uint64_t key, const Reply& meta,
+                    const ServiceResult& result);
+  /// Creates the transport histograms and bridges the counters into the
+  /// service's registry. The bridge reads plain I/O-thread state; that
+  /// is sound because every snapshot consumer in this process (the
   /// `stats` verb, the /metrics endpoint) runs on the loop thread too.
   void init_metrics();
 
   SchedulingService& service_;
   ServerConfig config_;
-  EventLoop loop_;
-  Listener listener_;
-  std::unique_ptr<MetricsHttp> metrics_http_;
-  int signal_fd_ = -1;
-  int drain_timer_fd_ = -1;  ///< armed by begin_drain past drain_timeout_ms
-  bool listener_active_ = false;
-
-  std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::unordered_map<std::string, TreeHandle, SpecHash, std::equal_to<>>
       spec_memo_;
-  ServerCounters counters_;
-  std::uint64_t next_conn_id_ = 1;
-  /// Tickets submitted whose completion has not yet been processed on
-  /// the loop thread. The drain waits for zero, which guarantees no
-  /// Ticket::on_complete callback can touch a dead Server.
-  std::uint64_t outstanding_ = 0;
-  bool draining_ = false;
+  std::map<JobKey, Job> jobs_;
+  std::uint64_t submitted_ = 0;  ///< tickets submitted to the service
 
-  /// Collector liveness guard: the counters bridge registered with the
-  /// service's registry bails once this server is gone, so a registry
-  /// that outlives the server stays safe to snapshot.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   /// Transport stage histograms (owned by the service's registry).
   /// h_write_stall_[kPriorityClasses] is the class="all" aggregate that
   /// carries the stats-verb key.
@@ -254,11 +215,6 @@ class Server {
   /// the unlabeled aggregate above). Their sliding windows ARE the
   /// per-class rolling p99 the /metrics `_window` gauges export.
   obs::Histogram* h_e2e_class_[kPriorityClasses] = {};
-  /// Windowed SLO accounting: responses / errors per priority class
-  /// ([kPriorityClasses] = all), read by the error-ratio gauge
-  /// collector. Loop-thread state like the counters.
-  obs::SlidingCounter slo_responses_[kPriorityClasses + 1];
-  obs::SlidingCounter slo_errors_[kPriorityClasses + 1];
 };
 
 }  // namespace treesched::net

@@ -17,7 +17,7 @@
 //
 // The registry hands out node-stable references: a `Counter&` obtained
 // once may be cached and hammered forever. Legacy stats structs
-// (CacheStats, QueueStats, ServerCounters, ...) are bridged by
+// (CacheStats, QueueStats, SessionCounters, ...) are bridged by
 // *collectors* — callbacks that append samples to a snapshot — so the
 // existing accessors stay the source of truth and nothing is counted
 // twice. Collectors run under the registry mutex; they must only read

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "service/request_view.hpp"
+
 namespace treesched {
 
 namespace {
@@ -30,10 +32,6 @@ std::uint64_t parse_uint_field(const std::string& key,
   }
 }
 
-MemSize parse_memory_cap(const std::string& token) {
-  return parse_uint_field("memory cap", token);
-}
-
 /// parse_uint_field plus an upper bound — int-typed response fields must
 /// reject out-of-range values, not truncate them through a cast.
 std::uint64_t parse_bounded_field(const std::string& key,
@@ -47,180 +45,25 @@ std::uint64_t parse_bounded_field(const std::string& key,
   return parsed;
 }
 
-void apply_field(RequestLine& out, const std::string& key,
-                 const std::string& value) {
-  if (key == "priority") {
-    const auto cls = parse_priority(value);
-    if (!cls) {
-      throw std::invalid_argument(
-          "priority \"" + value + "\" (want interactive|batch|bulk)");
-    }
-    out.priority = *cls;
-    return;
-  }
-  if (key == "deadline_ms") {
-    std::size_t used = 0;
-    double ms = 0.0;
-    try {
-      ms = std::stod(value, &used);
-    } catch (const std::exception&) {
-      used = std::string::npos;  // flag as unparsable below
-    }
-    if (used != value.size() || !(ms > 0.0)) {
-      throw std::invalid_argument("deadline_ms \"" + value +
-                                  "\" is not a positive number");
-    }
-    out.deadline_ms = ms;
-    return;
-  }
-  if (key == "id") {
-    out.id = parse_uint_field(key, value);
-    return;
-  }
-  throw std::invalid_argument(
-      "unknown request field \"" + key +
-      "\" (known fields: priority, deadline_ms, id)");
-}
-
-RequestLine parse_cancel_line(std::istringstream& is) {
-  RequestLine out;
-  out.kind = RequestLine::Kind::kCancel;
-  std::string token;
-  while (is >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || token.substr(0, eq) != "id") {
-      throw std::invalid_argument("cancel line must be: cancel id=<n> (got \"" +
-                                  token + "\")");
-    }
-    if (out.id) {
-      throw std::invalid_argument("duplicate request field \"id\"");
-    }
-    out.id = parse_uint_field("id", token.substr(eq + 1));
-  }
-  if (!out.id) {
-    throw std::invalid_argument("cancel line must name a request: cancel id=<n>");
-  }
-  return out;
-}
-
-/// `trace start|stop|status|pull [id=<n>]` / `trace dump=<path>
-/// [id=<n>]`: exactly one action, an optional tag. `pull` answers with
-/// the recorder's spans encoded as stats pairs — the router's merged
-/// dump collects every backend's ring through it.
-RequestLine parse_trace_line(std::istringstream& is) {
-  RequestLine out;
-  out.kind = RequestLine::Kind::kTrace;
-  std::string token;
-  while (is >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      if (!out.trace_action.empty()) {
-        throw std::invalid_argument("trailing token \"" + token + "\"");
-      }
-      if (token != "start" && token != "stop" && token != "status" &&
-          token != "pull") {
-        throw std::invalid_argument(
-            "trace line must be: trace start|stop|status|pull|dump=<path> "
-            "[id=<n>] (got \"" + token + "\")");
-      }
-      out.trace_action = token;
-      continue;
-    }
-    const std::string key = token.substr(0, eq);
-    if (key == "id") {
-      if (out.id) {
-        throw std::invalid_argument("duplicate request field \"id\"");
-      }
-      out.id = parse_uint_field("id", token.substr(eq + 1));
-      continue;
-    }
-    if (key == "dump") {
-      if (!out.trace_action.empty()) {
-        throw std::invalid_argument("duplicate trace action \"" + token +
-                                    "\"");
-      }
-      out.trace_path = token.substr(eq + 1);
-      if (out.trace_path.empty()) {
-        throw std::invalid_argument("trace dump= needs a path");
-      }
-      out.trace_action = "dump";
-      continue;
-    }
-    throw std::invalid_argument("unknown trace field \"" + key +
-                                "\" (known fields: dump, id)");
-  }
-  if (out.trace_action.empty()) {
-    throw std::invalid_argument(
-        "trace line must name an action: "
-        "trace start|stop|status|pull|dump=<path>");
-  }
-  return out;
-}
-
-/// `ping [id=<n>]` and `stats [id=<n>]` share one shape: the verb plus
-/// an optional tag, nothing else.
-RequestLine parse_control_line(const std::string& verb,
-                               RequestLine::Kind kind,
-                               std::istringstream& is) {
-  RequestLine out;
-  out.kind = kind;
-  std::string token;
-  while (is >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || token.substr(0, eq) != "id") {
-      throw std::invalid_argument(verb + " line must be: " + verb +
-                                  " [id=<n>] (got \"" + token + "\")");
-    }
-    if (out.id) {
-      throw std::invalid_argument("duplicate request field \"id\"");
-    }
-    out.id = parse_uint_field("id", token.substr(eq + 1));
-  }
-  return out;
-}
-
 }  // namespace
 
 RequestLine parse_request_line(const std::string& line) {
-  std::istringstream is(line);
+  RequestView view;
+  std::string error;
+  if (!parse_request_view(line, view, error)) {
+    throw std::invalid_argument(error);
+  }
   RequestLine out;
-  if (!(is >> out.tree_spec)) {
-    throw std::invalid_argument("empty request line");
-  }
-  if (out.tree_spec == "cancel") return parse_cancel_line(is);
-  if (out.tree_spec == "ping") {
-    return parse_control_line("ping", RequestLine::Kind::kPing, is);
-  }
-  if (out.tree_spec == "stats") {
-    return parse_control_line("stats", RequestLine::Kind::kStats, is);
-  }
-  if (out.tree_spec == "trace") return parse_trace_line(is);
-  if (!(is >> out.algo >> out.p)) {
-    throw std::invalid_argument(
-        "request line must be: <tree-spec> <algo> <p> [<memory-cap>] "
-        "[priority=...] [deadline_ms=...] [id=...] | cancel id=<n>");
-  }
-  bool saw_cap = false;
-  bool saw_named = false;
-  std::set<std::string> seen_keys;
-  std::string token;
-  while (is >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      if (saw_named || saw_cap) {
-        throw std::invalid_argument("trailing token \"" + token + "\"");
-      }
-      out.memory_cap = parse_memory_cap(token);
-      saw_cap = true;
-      continue;
-    }
-    saw_named = true;
-    const std::string key = token.substr(0, eq);
-    if (!seen_keys.insert(key).second) {
-      throw std::invalid_argument("duplicate request field \"" + key + "\"");
-    }
-    apply_field(out, key, token.substr(eq + 1));
-  }
+  out.kind = view.kind;
+  out.id = view.id;
+  out.tree_spec = view.tree_spec;
+  out.algo = view.algo;
+  out.p = view.p;
+  out.memory_cap = view.memory_cap;
+  out.priority = view.priority;
+  out.deadline_ms = view.deadline_ms;
+  out.trace_action = view.trace_action;
+  out.trace_path = view.trace_path;
   return out;
 }
 

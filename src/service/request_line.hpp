@@ -1,8 +1,9 @@
 #pragma once
-// The schedule_service wire grammar, protocol v2 — parsed and formatted
+// The schedule_service wire grammar, protocol v2 — defined and formatted
 // here (instead of inside the example binary) so tests can pin it, in
 // particular that unknown fields and unknown error codes are rejected by
-// name, never silently accepted.
+// name, never silently accepted. Requests parse through one in-place
+// parser (request_view.hpp) for text and binary clients alike.
 //
 // Request lines (one per line):
 //   <tree-spec> <algo> <p> [<memory-cap>] [<key>=<value> ...]
@@ -87,9 +88,10 @@ struct RequestLine {
   std::string trace_path;
 };
 
-/// Parses a nonempty, comment-stripped request line. Throws
-/// std::invalid_argument with a message naming the offending token or
-/// field on any violation of the grammar above.
+/// Parses a nonempty, comment-stripped request line: the owning wrapper
+/// over parse_request_view (request_view.hpp), the grammar's one
+/// parser. Throws std::invalid_argument with its message, which names
+/// the offending token or field, on any violation of the grammar above.
 RequestLine parse_request_line(const std::string& line);
 
 /// One response, either direction of the wire. kSchedule lines carry a
@@ -120,6 +122,14 @@ struct ResponseLine {
   // error payload.
   ErrorCode code = ErrorCode::kBadRequest;
   std::string message;
+
+  /// An untagged error answer.
+  static ResponseLine error(ErrorCode code, std::string message) {
+    ResponseLine line;
+    line.code = code;
+    line.message = std::move(message);
+    return line;
+  }
 };
 
 /// Renders `resp` as one v2 response line (no trailing newline).

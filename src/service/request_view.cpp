@@ -54,6 +54,8 @@ bool parse_int_token(std::string_view token, int& out) {
 }
 
 bool parse_positive_double(std::string_view value, double& out) {
+  // Same leading-'+' allowance as parse_int_token (std::stod took it).
+  if (!value.empty() && value.front() == '+') value.remove_prefix(1);
   const auto [ptr, ec] =
       std::from_chars(value.data(), value.data() + value.size(), out);
   return ec == std::errc() && ptr == value.data() + value.size() &&
@@ -70,9 +72,8 @@ bool parse_control_view(std::string_view verb, RequestLine::Kind kind,
        token = next_token(rest)) {
     const std::size_t eq = token.find('=');
     if (eq == std::string_view::npos || token.substr(0, eq) != "id") {
-      error = std::string(verb) +
-              (id_required ? " line must be: cancel id=<n> (got \""
-                           : " line must carry only [id=<n>] (got \"") +
+      error = std::string(verb) + " line must be: " + std::string(verb) +
+              (id_required ? " id=<n>" : " [id=<n>]") + " (got \"" +
               std::string(token) + "\")";
       return false;
     }
@@ -256,21 +257,6 @@ bool parse_request_view(std::string_view line, RequestView& out,
     }
   }
   return true;
-}
-
-RequestView as_view(const RequestLine& line) {
-  RequestView view;
-  view.kind = line.kind;
-  view.id = line.id;
-  view.tree_spec = line.tree_spec;
-  view.algo = line.algo;
-  view.p = line.p;
-  view.memory_cap = line.memory_cap;
-  view.priority = line.priority;
-  view.deadline_ms = line.deadline_ms;
-  view.trace_action = line.trace_action;
-  view.trace_path = line.trace_path;
-  return view;
 }
 
 }  // namespace treesched

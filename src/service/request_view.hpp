@@ -1,26 +1,27 @@
 #pragma once
-// Zero-copy decode path for the request grammar (protocol v3's parser,
-// living beside request_line.hpp which keeps owning the v2 text path).
-// parse_request_view() tokenizes one request line in place: every field
-// is a std::string_view into the caller's buffer, numbers go through
-// std::from_chars, and the success path performs no allocation at all —
-// no istringstream, no per-field std::string, no field map. The single
-// owned copy of a request happens where it must: when the connection
-// builds the ScheduleRequest that crosses into the service layer.
+// The request grammar's one parser (text v2 lines and binary v3
+// payloads alike). parse_request_view() tokenizes one request line in
+// place: every field is a std::string_view into the caller's buffer,
+// numbers go through std::from_chars, and the success path performs no
+// allocation at all — no istringstream, no per-field std::string, no
+// field map. The single owned copy of a request happens where it must:
+// in the front-end tier that builds the ScheduleRequest or the router's
+// forward line (net/session.hpp), or in parse_request_line
+// (request_line.hpp), the owning wrapper the stdin front-end uses.
 //
-// The grammar is exactly protocol v2's (request_line.hpp):
+// The grammar (request_line.hpp documents the fields):
 //   <tree-spec> <algo> <p> [<memory-cap>] [priority=...] [deadline_ms=...]
 //       [id=...]
 //   cancel id=<n>
 //   ping [id=<n>]
 //   stats [id=<n>]
 //   trace start|stop|status|pull|dump=<path> [id=<n>]
-// Equivalence with parse_request_line is pinned by tests/test_frame.cpp:
-// every line either parses to the same fields through both parsers or is
-// rejected by both (messages may differ; acceptance may not).
+// tests/test_frame.cpp pins it against an independent istringstream
+// reference parser (tests/request_line_oracle.hpp): every line of its
+// corpus is accepted by both with the same fields or rejected by both.
 //
 // Lifetime: a RequestView borrows the input buffer. It is valid only
-// while that buffer is (for the v3 front-end: until the FrameReader
+// while that buffer is (for a v3 session: until the FrameReader
 // compacts, i.e. until the next read) — consume it before reading on.
 
 #include <cstdint>
@@ -57,10 +58,5 @@ struct RequestView {
 /// naming the offending token to `error` on any grammar violation.
 bool parse_request_view(std::string_view line, RequestView& out,
                         std::string& error);
-
-/// Borrow-view of an already-parsed v2 line, so both protocol front-ends
-/// funnel into one schedule/cancel/control dispatch path. The view
-/// borrows `line`'s strings — same lifetime rules as any RequestView.
-RequestView as_view(const RequestLine& line);
 
 }  // namespace treesched

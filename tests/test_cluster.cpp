@@ -6,7 +6,9 @@
 // independently built ring, cluster-wide cache hits through the router,
 // node death mid-request with retry-on-alternate, the typed
 // node_unavailable error, upstream backpressure, router-side cancel,
-// and the drain-timeout bound on both the router and the server.
+// the drain-timeout bound on both the router and the server, and the
+// router's side of the client transport (the wire scenarios the server
+// passes, run through a router).
 
 #include "cluster/ring.hpp"
 
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "campaign/dataset.hpp"
+#include "front_end_scenarios.hpp"
 #include "cluster/router.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
@@ -406,7 +409,10 @@ class FakeNode {
   static bool write_all(int fd, const std::string& bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
-      const ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
+      // MSG_NOSIGNAL: stop() may shut the socket down while this thread
+      // writes a pong, and a plain write() would raise SIGPIPE.
+      const ssize_t w =
+          ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
       if (w <= 0) return false;
       off += static_cast<std::size_t>(w);
     }
@@ -707,6 +713,53 @@ TEST(ClusterRouter, BackpressureAnswersQueueFullAndCancelReachesTheQueue) {
   for (const auto& [id, code] : settled) {
     EXPECT_EQ(code, ErrorCode::kNodeUnavailable) << "id " << id;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The router's side of the client transport: the wire scenarios a direct
+// server passes (tests/front_end_scenarios.hpp), through a router in
+// front of one real node.
+// ---------------------------------------------------------------------------
+
+void through_router(void (*scenario)(std::uint16_t), RouterConfig config = {}) {
+  BackendHarness node;
+  RouterHarness router({node.name()}, std::move(config));
+  ASSERT_TRUE(router.wait_nodes_up(1));
+  scenario(router.port());
+}
+
+TEST(ClusterRouterTransport,
+     OversizedLineAnswersBadRequestAndTheConnectionSurvives) {
+  RouterConfig config;
+  config.max_line = 128;
+  through_router(scenarios::oversized_line_survives, config);
+}
+
+TEST(ClusterRouterTransport, HalfCloseAnswersEverythingThenEof) {
+  through_router(scenarios::half_close_answers_everything);
+}
+
+TEST(ClusterRouterTransport, WriteBackpressureDeliversEverythingToASlowReader) {
+  RouterConfig config;
+  config.max_wbuf = 2048;
+  config.max_pending = 4096;
+  through_router(scenarios::slow_reader_gets_every_answer, config);
+}
+
+TEST(ClusterRouterTransport, GarbageMagicAnswersOneErrorFrameAndCloses) {
+  through_router(scenarios::garbage_magic_answers_one_error_and_closes);
+}
+
+TEST(ClusterRouterTransport, EofInsideTheMagicAnswersBadRequest) {
+  through_router(scenarios::eof_inside_the_magic_answers_bad_request);
+}
+
+TEST(ClusterRouterTransport, TruncatedLengthPrefixAtEofAnswersBadRequest) {
+  through_router(scenarios::half_close_mid_frame_answers_bad_request);
+}
+
+TEST(ClusterRouterTransport, UnknownOpcodeIsRefused) {
+  through_router(scenarios::unknown_opcode_is_refused);
 }
 
 TEST(ClusterRouter, DrainTimeoutBoundsAStuckShutdown) {

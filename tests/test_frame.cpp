@@ -1,8 +1,9 @@
 // Binary protocol v3 (src/net/frame.hpp + service/request_view.hpp):
-// zero-copy request parsing pinned grammar-equivalent to the v2 text
-// parser, frame round trips under adversarial chunkings, hostile-frame
-// rejection (truncated length prefix, oversized length, garbage magic,
-// mid-frame disconnect), and end-to-end coverage of the negotiated
+// zero-copy request parsing pinned grammar-equivalent to an independent
+// istringstream reference parser (request_line_oracle.hpp), frame round
+// trips under adversarial chunkings, hostile-frame rejection (truncated
+// length prefix, oversized length, garbage magic, mid-frame
+// disconnect), and end-to-end coverage of the negotiated
 // binary mode over real sockets — pipelined batch frames, out-of-order
 // tagged answers, bit-identical v2/v3 schedule payloads, unix-domain
 // sockets, and the v3 protocol counters in `stats`.
@@ -21,7 +22,9 @@
 #include <vector>
 
 #include "net/client.hpp"
+#include "front_end_scenarios.hpp"
 #include "net/server.hpp"
+#include "request_line_oracle.hpp"
 #include "service/request_view.hpp"
 #include "service/service.hpp"
 #include "util/thread_pool.hpp"
@@ -44,9 +47,12 @@ using net::Opcode;
 using net::Protocol;
 using net::Server;
 using net::ServerConfig;
+using scenarios::drain_binary;
+using scenarios::header_bytes;
+using scenarios::send_raw;
 
 // ---------------------------------------------------------------------------
-// RequestView: the zero-copy parser, alone and against the v2 parser.
+// RequestView: the zero-copy parser, alone and against the reference.
 // ---------------------------------------------------------------------------
 
 TEST(RequestView, ParsesAFullScheduleLine) {
@@ -96,7 +102,7 @@ TEST(RequestView, SuccessPathTakesViewsIntoTheInput) {
 
 /// The pinned contract: every line is accepted by BOTH parsers with the
 /// same fields, or rejected by BOTH (messages may differ; acceptance may
-/// not). Grammar drift between the protocols would split clients.
+/// not). A grammar change that only one implementation makes shows here.
 TEST(RequestView, AgreesWithTheV2ParserAcrossTheCorpus) {
   const char* corpus[] = {
       // accepted
@@ -107,6 +113,7 @@ TEST(RequestView, AgreesWithTheV2ParserAcrossTheCorpus) {
       "t Liu -2",
       "t Liu 2 id=0",
       "t Liu 2 deadline_ms=0.5 id=3 priority=bulk",
+      "t Liu 2 deadline_ms=+7.5",
       "  t   Liu  4  ",
       "t Liu 1 0",
       "cancel id=12",
@@ -164,7 +171,7 @@ TEST(RequestView, AgreesWithTheV2ParserAcrossTheCorpus) {
     bool v2_ok = true;
     RequestLine parsed;
     try {
-      parsed = parse_request_line(line);
+      parsed = oracle::parse_request_line(line);
     } catch (const std::invalid_argument&) {
       v2_ok = false;
     }
@@ -174,17 +181,41 @@ TEST(RequestView, AgreesWithTheV2ParserAcrossTheCorpus) {
     EXPECT_EQ(v2_ok, v3_ok) << "parsers disagree on acceptance of: \"" << line
                             << "\" (v3 error: " << error << ")";
     if (!v2_ok || !v3_ok) continue;
-    const RequestView expected = as_view(parsed);
-    EXPECT_EQ(view.kind, expected.kind) << line;
-    EXPECT_EQ(view.id, expected.id) << line;
-    EXPECT_EQ(view.tree_spec, expected.tree_spec) << line;
-    EXPECT_EQ(view.algo, expected.algo) << line;
-    EXPECT_EQ(view.p, expected.p) << line;
-    EXPECT_EQ(view.memory_cap, expected.memory_cap) << line;
-    EXPECT_EQ(view.priority, expected.priority) << line;
-    EXPECT_EQ(view.deadline_ms, expected.deadline_ms) << line;
-    EXPECT_EQ(view.trace_action, expected.trace_action) << line;
-    EXPECT_EQ(view.trace_path, expected.trace_path) << line;
+    EXPECT_EQ(view.kind, parsed.kind) << line;
+    EXPECT_EQ(view.id, parsed.id) << line;
+    EXPECT_EQ(view.tree_spec, parsed.tree_spec) << line;
+    EXPECT_EQ(view.algo, parsed.algo) << line;
+    EXPECT_EQ(view.p, parsed.p) << line;
+    EXPECT_EQ(view.memory_cap, parsed.memory_cap) << line;
+    EXPECT_EQ(view.priority, parsed.priority) << line;
+    EXPECT_EQ(view.deadline_ms, parsed.deadline_ms) << line;
+    EXPECT_EQ(view.trace_action, parsed.trace_action) << line;
+    EXPECT_EQ(view.trace_path, parsed.trace_path) << line;
+  }
+}
+
+/// Text clients parse through the view parser, so on control lines (and
+/// the field errors every verb shares) it must answer the exact message
+/// of the istringstream reference, the wording text clients know.
+TEST(RequestView, ControlLineErrorsKeepTheV2Wording) {
+  for (const char* line :
+       {"cancel", "cancel 7", "cancel foo=1", "cancel id=", "cancel id=x",
+        "cancel id=1 id=2", "ping extra", "ping id=1 id=2", "ping id=-3",
+        "stats now", "stats id=x", "trace", "trace restart",
+        "trace start stop", "trace dump=", "trace dump=/a dump=/b",
+        "trace unknown=1", "t Liu 1 unknown=3", "t Liu 1 id=1 id=2",
+        "t Liu 1 priority=speedy", "t Liu 1 2 3", "t Liu",
+        "t Liu 1 id=18446744073709551616"}) {
+    std::string v2_error;
+    try {
+      (void)oracle::parse_request_line(line);
+    } catch (const std::invalid_argument& e) {
+      v2_error = e.what();
+    }
+    RequestView view;
+    std::string error;
+    ASSERT_FALSE(parse_request_view(line, view, error)) << line;
+    EXPECT_EQ(error, v2_error) << line;
   }
 }
 
@@ -517,19 +548,6 @@ TEST(FrameCodec, TruncatedTraceExtensionIsAProtocolViolation) {
 // over-reading or buffering hostile lengths.
 // ---------------------------------------------------------------------------
 
-std::string header_bytes(std::uint8_t opcode, std::uint8_t flags,
-                         std::uint16_t reserved, std::uint32_t length) {
-  std::string out;
-  out.push_back(static_cast<char>(opcode));
-  out.push_back(static_cast<char>(flags));
-  out.push_back(static_cast<char>(reserved & 0xff));
-  out.push_back(static_cast<char>((reserved >> 8) & 0xff));
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((length >> shift) & 0xff));
-  }
-  return out;
-}
-
 TEST(FrameCodec, TruncatedHeaderNeedsMoreNotBad) {
   const std::string hdr =
       header_bytes(static_cast<std::uint8_t>(Opcode::kRequest), 0, 0, 12);
@@ -638,13 +656,6 @@ class ServerHarness {
 
 Client connect_v3(const ServerHarness& harness) {
   return Client("127.0.0.1", harness.port(), Protocol::kV3);
-}
-
-/// Sends raw bytes on the client's socket — how the hostile-frame tests
-/// speak v3 without the Client's well-formed framing in the way.
-void send_raw(const Client& client, const std::string& bytes) {
-  ASSERT_EQ(::send(client.fd(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(bytes.size()));
 }
 
 TEST(ScheduleServerV3, AnswersAndCachesOverTheWire) {
@@ -868,49 +879,19 @@ TEST(ScheduleServerV3, ByteByByteDeliveryOverTheSocketStillParses) {
 
 // --- hostile wire behavior -------------------------------------------------
 
-/// Reads until EOF and returns every response frame the server sent.
-std::vector<ResponseLine> drain_binary(const Client& client) {
-  FrameReader reader;
-  std::vector<ResponseLine> responses;
-  for (;;) {
-    Frame frame;
-    while (reader.next(frame) == FrameReader::Status::kFrame) {
-      ResponseLine decoded;
-      std::string error;
-      EXPECT_TRUE(decode_response_frame(frame, decoded, error)) << error;
-      responses.push_back(std::move(decoded));
-    }
-    char buf[4096];
-    const ssize_t n = ::recv(client.fd(), buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    reader.feed(buf, static_cast<std::size_t>(n));
-  }
-  return responses;
-}
-
 TEST(ScheduleServerV3, GarbageMagicAnswersOneErrorFrameAndCloses) {
   ServerHarness harness;
-  Client client("127.0.0.1", harness.port(), Protocol::kText);
-  send_raw(client, std::string("\xB3") + "XXX");  // 0xB3, wrong tail
-  const auto responses = drain_binary(client);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_FALSE(responses[0].ok);
-  EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
+  scenarios::garbage_magic_answers_one_error_and_closes(harness.port());
+}
+
+TEST(ScheduleServerV3, EofInsideTheMagicAnswersBadRequest) {
+  ServerHarness harness;
+  scenarios::eof_inside_the_magic_answers_bad_request(harness.port());
 }
 
 TEST(ScheduleServerV3, TruncatedLengthPrefixAtEofAnswersBadRequest) {
   ServerHarness harness;
-  Client client("127.0.0.1", harness.port(), Protocol::kText);
-  std::string wire(kFrameMagic);
-  const std::string hdr =
-      header_bytes(static_cast<std::uint8_t>(Opcode::kRequest), 0, 0, 64);
-  wire += hdr.substr(0, 5);  // opcode + flags + reserved + 1 length byte
-  send_raw(client, wire);
-  client.shutdown_write();  // half-close inside the length prefix
-  const auto responses = drain_binary(client);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_FALSE(responses[0].ok);
-  EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
+  scenarios::half_close_mid_frame_answers_bad_request(harness.port());
 }
 
 TEST(ScheduleServerV3, OversizedFrameLengthIsRefusedUpFront) {
@@ -933,14 +914,7 @@ TEST(ScheduleServerV3, OversizedFrameLengthIsRefusedUpFront) {
 
 TEST(ScheduleServerV3, UnknownOpcodeIsRefused) {
   ServerHarness harness;
-  Client client("127.0.0.1", harness.port(), Protocol::kText);
-  std::string wire(kFrameMagic);
-  wire += header_bytes(0x7f, 0, 0, 0);
-  send_raw(client, wire);
-  const auto responses = drain_binary(client);
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_FALSE(responses[0].ok);
-  EXPECT_EQ(responses[0].code, ErrorCode::kBadRequest);
+  scenarios::unknown_opcode_is_refused(harness.port());
 }
 
 TEST(ScheduleServerV3, TracedRequestFrameIsServedLikeAnUntracedOne) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "campaign/dataset.hpp"
+#include "front_end_scenarios.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "service/service.hpp"
@@ -352,15 +353,7 @@ TEST(ScheduleServer, OversizedLineAnswersBadRequestAndTheConnectionSurvives) {
   ServerConfig config;
   config.max_line = 128;
   ServerHarness harness(config);
-  Client client = connect(harness);
-  const ResponseLine err =
-      client.request(std::string(4096, 'x'));  // one huge bogus line
-  ASSERT_FALSE(err.ok);
-  EXPECT_EQ(err.code, ErrorCode::kBadRequest);
-  // Same socket keeps working, correctly framed.
-  const ResponseLine ok = client.request("random:100:1 Liu 1 id=1");
-  EXPECT_TRUE(ok.ok);
-  EXPECT_EQ(ok.id, 1u);
+  scenarios::oversized_line_survives(harness.port());
 }
 
 TEST(ScheduleServer, PerConnectionWindowRejectsWithTypedQueueFull) {
@@ -434,14 +427,7 @@ TEST(ScheduleServer, CancelOfUnknownIdAnswersBadRequestAck) {
 
 TEST(ScheduleServer, HalfCloseAnswersEverythingThenEof) {
   ServerHarness harness;
-  Client client = connect(harness);
-  client.send_line("random:500:1 ParSubtrees 4 id=1");
-  client.send_line("random:500:1 ParSubtrees 8 id=2");
-  client.send_line("ping");  // unterminated tail exercised separately
-  client.shutdown_write();
-  std::size_t lines = 0;
-  while (client.recv_line()) ++lines;
-  EXPECT_EQ(lines, 3u) << "all pending answers flushed before close";
+  scenarios::half_close_answers_everything(harness.port());
 }
 
 TEST(ScheduleServer, UnterminatedFinalLineStillAnswersAtEof) {
@@ -486,29 +472,10 @@ TEST(ScheduleServer, AbruptDisconnectCancelsAndTheServerSurvives) {
 
 TEST(ScheduleServer, WriteBackpressureDeliversEverythingToASlowReader) {
   ServerConfig config;
-  config.max_wbuf = 2048;  // tiny: force EPOLLOUT flushing + read pauses
+  config.max_wbuf = 2048;
   config.max_pending = 4096;
   ServerHarness harness(config);
-  Client client = connect(harness);
-  // A few hundred cache-hot requests written without reading a single
-  // answer: the server must stop reading when its write buffer fills,
-  // resume as we drain, and deliver every answer exactly once.
-  constexpr int kRequests = 400;
-  for (int i = 0; i < kRequests; ++i) {
-    client.send_line("random:200:1 Liu 1 id=" + std::to_string(i));
-  }
-  client.shutdown_write();
-  std::vector<bool> seen(kRequests, false);
-  std::size_t answers = 0;
-  while (const auto line = client.recv_line()) {
-    const ResponseLine resp = parse_response_line(*line);
-    ASSERT_TRUE(resp.id.has_value());
-    ASSERT_LT(*resp.id, static_cast<std::uint64_t>(kRequests));
-    EXPECT_FALSE(seen[static_cast<std::size_t>(*resp.id)]);
-    seen[static_cast<std::size_t>(*resp.id)] = true;
-    ++answers;
-  }
-  EXPECT_EQ(answers, static_cast<std::size_t>(kRequests));
+  scenarios::slow_reader_gets_every_answer(harness.port());
 }
 
 TEST(ScheduleServer, StopDrainsPendingAnswersBeforeReturning) {
