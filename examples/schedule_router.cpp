@@ -37,6 +37,7 @@
 
 #include <signal.h>
 
+#include <cstdint>
 #include <iostream>
 
 #include "cluster/router.hpp"
@@ -46,36 +47,39 @@ int main(int argc, char** argv) {
   using namespace treesched;
   try {
     CliArgs args(argc, argv);
+    // Ports, counts and sizes are range-checked like schedule_server's.
+    const auto count = [&](const char* flag, std::size_t fallback) {
+      return static_cast<std::size_t>(args.get_int(
+          flag, static_cast<std::int64_t>(fallback), 1, 1 << 24));
+    };
+    const auto kib = [&](const char* flag, std::size_t fallback_bytes) {
+      return count(flag, fallback_bytes >> 10) << 10;
+    };
     cluster::RouterConfig config;
-    config.port = static_cast<std::uint16_t>(args.get_int("port", 0));
+    config.port = static_cast<std::uint16_t>(args.get_int("port", 0, 0, 65535));
     config.bind = args.get("bind", "127.0.0.1");
     config.nodes = split_csv(args.get("nodes", ""));
-    config.vnodes = static_cast<int>(args.get_int("vnodes", 64));
+    config.vnodes = static_cast<int>(count("vnodes", 64));
     config.load_factor = args.get_double("load-factor", 1.25);
-    config.max_conns = static_cast<std::size_t>(args.get_int("max-conns", 256));
-    config.max_pending = static_cast<std::size_t>(
-        args.get_int("max-pending", std::int64_t{net::kDefaultMaxPending}));
-    config.max_wbuf = static_cast<std::size_t>(args.get_int(
-        "max-wbuf-kb", std::int64_t{net::kDefaultMaxWbuf >> 10})) << 10;
-    config.max_frame = static_cast<std::size_t>(args.get_int(
-        "max-frame-kb", std::int64_t{net::kDefaultMaxFrame >> 10})) << 10;
+    config.max_conns = count("max-conns", 256);
+    config.max_pending = count("max-pending", net::kDefaultMaxPending);
+    config.max_wbuf = kib("max-wbuf-kb", net::kDefaultMaxWbuf);
+    config.max_frame = kib("max-frame-kb", net::kDefaultMaxFrame);
     config.handle_signals = true;
-    config.metrics_port = static_cast<int>(args.get_int("metrics-port", -1));
+    config.metrics_port =
+        static_cast<int>(args.get_int("metrics-port", -1, -1, 65535));
     config.trace_dir = args.get("trace-dir", "");
     config.log_json = args.get("log-json", "");
     config.tree_dir = args.get("tree-dir", "");
-    config.max_spec_nodes =
-        static_cast<std::uint64_t>(args.get_int("max-spec-nodes", 2'000'000));
+    config.max_spec_nodes = static_cast<std::uint64_t>(
+        args.get_int("max-spec-nodes", 2'000'000, 0, INT32_MAX));
     config.max_spec_bytes = static_cast<std::uint64_t>(
-        args.get_int("max-spec-bytes", 16 << 20));
+        args.get_int("max-spec-bytes", 16 << 20, 0, INT64_MAX));
     config.drain_timeout_ms = args.get_double("drain-timeout-ms", 0.0);
-    config.upstream_window =
-        static_cast<std::size_t>(args.get_int("upstream-window", 128));
-    config.upstream_queue =
-        static_cast<std::size_t>(args.get_int("upstream-queue", 1024));
-    config.upstream_max_wbuf =
-        static_cast<std::size_t>(args.get_int("upstream-wbuf-kb", 1024)) << 10;
-    config.retries = static_cast<int>(args.get_int("retries", 1));
+    config.upstream_window = count("upstream-window", 128);
+    config.upstream_queue = count("upstream-queue", 1024);
+    config.upstream_max_wbuf = kib("upstream-wbuf-kb", 1024 << 10);
+    config.retries = static_cast<int>(args.get_int("retries", 1, 0, 1 << 10));
     config.health_interval_ms = args.get_double("health-interval-ms", 250.0);
     config.ping_timeout_ms = args.get_double("ping-timeout-ms", 2000.0);
     config.reconnect_backoff_ms = args.get_double("backoff-ms", 500.0);

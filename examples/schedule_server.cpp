@@ -43,6 +43,7 @@
 
 #include <signal.h>
 
+#include <cstdint>
 #include <iostream>
 
 #include "net/server.hpp"
@@ -53,39 +54,45 @@ int main(int argc, char** argv) {
   using namespace treesched;
   try {
     CliArgs args(argc, argv);
+    // Ports, counts and sizes are range-checked: an out-of-range value
+    // exits 1 naming the flag instead of wrapping when narrowed.
+    const auto count = [&](const char* flag, std::size_t fallback) {
+      return static_cast<std::size_t>(args.get_int(
+          flag, static_cast<std::int64_t>(fallback), 1, 1 << 24));
+    };
+    const auto kib = [&](const char* flag, std::size_t fallback_bytes) {
+      return count(flag, fallback_bytes >> 10) << 10;
+    };
+    const auto mib = [&](const char* flag, std::int64_t fallback) {
+      return static_cast<std::size_t>(args.get_int(flag, fallback, 0, 1 << 30))
+             << 20;
+    };
     net::ServerConfig server_config;
-    server_config.port = static_cast<std::uint16_t>(args.get_int("port", 0));
+    server_config.port =
+        static_cast<std::uint16_t>(args.get_int("port", 0, 0, 65535));
     server_config.bind = args.get("bind", "127.0.0.1");
     server_config.unix_path = args.get("unix", "");
-    server_config.max_frame = static_cast<std::size_t>(args.get_int(
-        "max-frame-kb", std::int64_t{net::kDefaultMaxFrame >> 10})) << 10;
-    server_config.max_conns =
-        static_cast<std::size_t>(args.get_int("max-conns", 256));
-    server_config.max_pending = static_cast<std::size_t>(
-        args.get_int("max-pending", std::int64_t{net::kDefaultMaxPending}));
-    server_config.max_wbuf = static_cast<std::size_t>(args.get_int(
-        "max-wbuf-kb", std::int64_t{net::kDefaultMaxWbuf >> 10})) << 10;
+    server_config.max_frame = kib("max-frame-kb", net::kDefaultMaxFrame);
+    server_config.max_conns = count("max-conns", 256);
+    server_config.max_pending = count("max-pending", net::kDefaultMaxPending);
+    server_config.max_wbuf = kib("max-wbuf-kb", net::kDefaultMaxWbuf);
     server_config.handle_signals = true;
-    server_config.metrics_port = static_cast<int>(args.get_int("metrics-port", -1));
+    server_config.metrics_port =
+        static_cast<int>(args.get_int("metrics-port", -1, -1, 65535));
     server_config.slow_ms = args.get_double("slow-ms", 0.0);
     server_config.trace_dir = args.get("trace-dir", "");
     server_config.log_json = args.get("log-json", "");
     server_config.tree_dir = args.get("tree-dir", "");
-    server_config.max_spec_nodes =
-        static_cast<std::uint64_t>(args.get_int("max-spec-nodes", 2'000'000));
+    server_config.max_spec_nodes = static_cast<std::uint64_t>(
+        args.get_int("max-spec-nodes", 2'000'000, 0, INT32_MAX));
     server_config.max_spec_bytes = static_cast<std::uint64_t>(
-        args.get_int("max-spec-bytes", 16 << 20));
+        args.get_int("max-spec-bytes", 16 << 20, 0, INT64_MAX));
     server_config.drain_timeout_ms = args.get_double("drain-timeout-ms", 0.0);
     ServiceConfig service_config;
-    service_config.cache_bytes =
-        static_cast<std::size_t>(args.get_int("cache-mb", 256)) << 20;
+    service_config.cache_bytes = mib("cache-mb", 256);
     service_config.validate = args.get_bool("validate", false);
-    service_config.store.max_bytes =
-        static_cast<std::size_t>(args.get_int("store-mb", 0)) << 20;
+    service_config.store.max_bytes = mib("store-mb", 0);
     args.reject_unknown();
-    if (server_config.max_pending == 0) {
-      throw std::invalid_argument("--max-pending must be >= 1");
-    }
 
     // Block SIGTERM/SIGINT before ANY thread exists (the service's
     // first submit spawns the shared pool, which inherits the mask), so

@@ -1,5 +1,5 @@
 #pragma once
-// Incremental newline framing for the TCP front-end (layer 1 of
+// Incremental newline framing for every text session (layer 1 of
 // src/net/): turns an arbitrary sequence of read() chunks into protocol
 // lines, no matter how the kernel fragments them — one byte at a time,
 // a dozen lines per chunk, or a line split mid-token across reads.
@@ -17,8 +17,8 @@
 // on.
 //
 // A trailing '\r' is stripped (CRLF clients: nc, telnet, load
-// balancers). finish() flushes a final unterminated line at EOF — the
-// same grace std::getline gives the stdin front-end.
+// balancers). finish() flushes a final unterminated line at EOF, the
+// grace std::getline gives a final line without its newline.
 
 #include <cstddef>
 #include <optional>

@@ -32,9 +32,6 @@ class Listener {
   /// Binds and listens, throwing std::system_error on failure
   /// (EADDRINUSE and friends).
   explicit Listener(const ListenerConfig& config);
-  /// TCP on 127.0.0.1:<port> — the pre-UDS constructor, kept delegating.
-  explicit Listener(std::uint16_t port)
-      : Listener(ListenerConfig{"127.0.0.1", port, {}}) {}
   ~Listener();
 
   Listener(const Listener&) = delete;

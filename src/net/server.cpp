@@ -1,5 +1,6 @@
 #include "net/server.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -8,6 +9,7 @@
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace treesched::net {
 
@@ -17,6 +19,7 @@ HostConfig host_config(const ServerConfig& c) {
   HostConfig h = shared_host_config(c);
   h.tier = "server";
   h.cancel_too_late = "running";
+  h.local = c.local;
   h.listener = ListenerConfig{
       .bind = c.bind, .port = c.port, .unix_path = c.unix_path};
   return h;
@@ -234,8 +237,22 @@ void Server::abandon(std::uint64_t conn_id, std::uint64_t key) {
 std::vector<std::pair<std::string, std::uint64_t>> Server::stats_pairs()
     const {
   const SessionCounters& sc = session_counters_;
-  // Transport-specific counters first, then the shared service
-  // vocabulary (service_stats_pairs keeps both front-ends aligned).
+  const CacheStats cs = service_.cache_stats();
+  const QueueStats qs = service_.queue_stats();
+  const InstanceStore::Stats ss = service_.store_stats();
+  std::uint64_t admitted = 0, completed = 0, expired = 0, cancelled = 0,
+                rejected = 0;
+  for (const ClassQueueStats& c : qs.by_class) {
+    admitted += c.admitted;
+    completed += c.completed;
+    expired += c.expired;
+    cancelled += c.cancelled;
+    rejected += c.rejected;
+  }
+  // Transport counters, then the legacy fourteen service keys in their
+  // fixed order; after them only additive vocabulary: per-class queue
+  // keys, the shared pool, and the stage-histogram summaries
+  // (<key>_count/_p50_us/_p90_us/_p99_us) from the service's registry.
   std::vector<std::pair<std::string, std::uint64_t>> out = {
       {"conns", session_count()},
       {"accepted", sc.accepted},
@@ -248,9 +265,44 @@ std::vector<std::pair<std::string, std::uint64_t>> Server::stats_pairs()
       {"frames_bad", sc.frames_bad},
       {"batch_requests", sc.batch_requests},
       {"parse_errors", sc.parse_errors},
+      {"queue_pending", qs.pending()},
+      {"queue_admitted", admitted},
+      {"queue_completed", completed},
+      {"queue_expired", expired},
+      {"queue_cancelled", cancelled},
+      {"queue_rejected", rejected},
+      {"cache_hits", cs.hits},
+      {"cache_misses", cs.misses},
+      {"cache_entries", cs.entries},
+      {"cache_bytes", cs.bytes},
+      {"cache_evictions", cs.evictions},
+      {"store_trees", ss.unique_trees},
+      {"store_bytes", ss.bytes},
+      {"store_rejected", ss.rejected},
   };
-  for (auto& pair : service_stats_pairs(service_)) {
-    out.push_back(std::move(pair));
+  static constexpr const char* kClassKey[kPriorityClasses] = {
+      "interactive", "batch", "bulk"};
+  for (std::size_t c = 0; c < kPriorityClasses; ++c) {
+    const ClassQueueStats& q = qs.by_class[c];
+    const std::string suffix = std::string("_") + kClassKey[c];
+    out.emplace_back("queue_pending" + suffix, q.pending);
+    out.emplace_back("queue_admitted" + suffix, q.admitted);
+    out.emplace_back("queue_completed" + suffix, q.completed);
+    out.emplace_back("queue_expired" + suffix, q.expired);
+    out.emplace_back("queue_cancelled" + suffix, q.cancelled);
+    out.emplace_back("queue_rejected" + suffix, q.rejected);
+    out.emplace_back("queue_aged" + suffix, q.aged);
+    out.emplace_back(
+        "queue_wait_p99_us" + suffix,
+        static_cast<std::uint64_t>(std::max(0.0, q.wait_ms_p99 * 1000.0)));
+  }
+  const ThreadPool::Stats ps = ThreadPool::shared().stats();
+  out.emplace_back("pool_threads", ps.threads);
+  out.emplace_back("pool_submitted", ps.submitted);
+  out.emplace_back("pool_executed", ps.executed);
+  out.emplace_back("pool_pending", ps.pending);
+  for (auto& kv : service_.registry().snapshot().stats_pairs()) {
+    out.push_back(std::move(kv));
   }
   return out;
 }
@@ -319,9 +371,9 @@ void Server::record_flushed(const ResponseTiming& timing) {
        obs::EventLog::Field::str("algo", timing.algo),
        obs::EventLog::Field::u64("e2e_us", e2e / 1000),
        obs::EventLog::Field::u64("cache_hit", timing.cache_hit ? 1 : 0)});
-  // One stderr line per slow request, built whole so concurrent writers
-  // (pool workers log nothing, but the stdin front-end shares stderr)
-  // can't interleave mid-line.
+  // One stderr line per slow request, built whole in one fputs so it
+  // cannot interleave mid-line with other writers of the process's
+  // stderr (schedule_service's --stats summary, error reports).
   std::string line = "[treesched] slow request";
   if (timing.id) line.append(" id=").append(std::to_string(*timing.id));
   if (!timing.algo.empty()) line.append(" algo=").append(timing.algo);
@@ -355,15 +407,18 @@ Result<TreeHandle, ServiceError> Server::intern_spec(std::string_view spec) {
   const auto it = spec_memo_.find(spec);
   if (it != spec_memo_.end()) return it->second;
   try {
-    // The spec is raw client input: bound generator sizes before any
-    // allocation and confine (or refuse) file: reads. The limits throw
-    // BEFORE read_tree_file or a generator runs, so the error text can
-    // never carry filesystem contents.
+    // A network spec is raw client input: bound generator sizes before
+    // any allocation and confine (or refuse) file: reads. The limits
+    // throw BEFORE read_tree_file or a generator runs, so the error text
+    // can never carry filesystem contents. A local server's specs come
+    // from its operator and resolve unbounded (TreeSpecOptions{}).
     TreeSpecOptions limits;
-    limits.max_nodes = config_.max_spec_nodes;
-    limits.allow_file = !config_.tree_dir.empty();
-    limits.file_dir = config_.tree_dir;
-    limits.max_file_bytes = config_.max_spec_bytes;
+    if (!config_.local) {
+      limits.max_nodes = config_.max_spec_nodes;
+      limits.allow_file = !config_.tree_dir.empty();
+      limits.file_dir = config_.tree_dir;
+      limits.max_file_bytes = config_.max_spec_bytes;
+    }
     // try_intern keeps store rejection typed (kStoreFull); only spec
     // resolution itself (file IO, generator args) still throws.
     Result<TreeHandle, ServiceError> handle =

@@ -21,18 +21,21 @@
 // in-process callers — the server is a transport, not a second engine.
 //
 // Lifecycle: the constructor binds (port 0 = ephemeral, read back via
-// port()); run() serves until stop() or — with handle_signals —
-// SIGTERM/SIGINT, then drains: the listener closes, sessions stop
-// reading, every accepted request is answered or cancelled, write
-// buffers flush, and run() returns only when no ticket is outstanding,
-// so destroying the server (and then the service) is always safe.
+// port()) unless the server is local (config.local: schedule_service
+// adopts one socketpair session); run() serves until stop() or — with
+// handle_signals — SIGTERM/SIGINT, then drains: the listener closes,
+// sessions stop reading, every accepted request is answered or
+// cancelled, write buffers flush, and run() returns only when no ticket
+// is outstanding, so destroying the server (and then the service) is
+// always safe.
 //
 // Scale limits are explicit and typed: at most max_conns sockets (the
 // excess is greeted with a queue_full error line and closed), at most
 // max_pending unsettled requests per connection (excess requests answer
-// queue_full), at most max_wbuf buffered response bytes per connection
-// (past it the connection stops reading until the client drains), at
-// most max_line text-line / max_frame binary-frame bytes per request.
+// queue_full; a local server pauses reading instead), at most max_wbuf
+// buffered response bytes per connection (past it the connection stops
+// reading until the client drains), at most max_line text-line /
+// max_frame binary-frame bytes per request.
 
 #include <cstdint>
 #include <functional>
@@ -117,6 +120,11 @@ struct ServerConfig {
   /// (their queued tickets cancelled) and the drain completes. 0 = wait
   /// forever (the pre-timeout behavior).
   double drain_timeout_ms = 0.0;
+  /// Serve a trusted same-machine process, not the network: no listener
+  /// (sessions arrive through adopt()), a full window pauses reading
+  /// instead of answering queue_full, and specs and `trace dump=` paths
+  /// resolve under CLI trust. schedule_service's setting only.
+  bool local = false;
 };
 
 class Server : public SessionHost {

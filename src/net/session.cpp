@@ -27,6 +27,8 @@ Session::Session(SessionHost& host, int fd, std::uint64_t id)
     : host_(host),
       fd_(fd),
       id_(id),
+      // A local peer speaks text only: a first byte of 0xB3 is bad text.
+      mode_(host.host_config_.local ? Mode::kText : Mode::kDetect),
       framer_(host.host_config_.max_line),
       reader_(host.host_config_.max_frame),
       // The accept moment doubles as the first burst stamp, so a request
@@ -88,7 +90,9 @@ void Session::on_readable() {
       } else {
         handle_bytes(dst, got);
       }
-      if (closing_) break;
+      // A local session holding lines reads nothing more until the
+      // window has room for them.
+      if (closing_ || holding()) break;
       // Backpressure: a client that outpaces its own reading stops
       // being read until it drains us below the low watermark.
       if (buffered() > host_.host_config_.max_wbuf) break;
@@ -131,10 +135,14 @@ void Session::on_eof() {
     ++host_.session_counters_.frames_bad;
     emit_error(std::nullopt, ErrorCode::kBadRequest,
                "connection closed inside the protocol magic");
-  } else if (const auto last = framer_.finish()) {
-    // A final unterminated line still counts — the same grace
-    // std::getline gives the stdin front-end.
-    handle_line(*last);
+  } else if (auto last = framer_.finish()) {
+    // A final unterminated line still counts, as it would for getline.
+    if (host_.host_config_.local) {
+      held_.push_back(std::move(*last));
+      admit_held();
+    } else {
+      handle_line(*last);
+    }
   }
 }
 
@@ -184,9 +192,29 @@ void Session::note_detected() {
 }
 
 void Session::feed_text(const char* data, std::size_t len) {
-  for (const LineFramer::Line& line : framer_.feed(data, len)) {
+  std::vector<LineFramer::Line> lines = framer_.feed(data, len);
+  if (host_.host_config_.local) {
+    for (LineFramer::Line& line : lines) held_.push_back(std::move(line));
+    admit_held();
+    return;
+  }
+  for (const LineFramer::Line& line : lines) {
     handle_line(line);
     if (closing_ || read_closed_) return;
+  }
+}
+
+void Session::admit_held() {
+  // The local window is a pace, not a limit: a line waits for a slot
+  // instead of answering queue_full, and lines are admitted strictly in
+  // order, so untagged answers keep their places.
+  const std::size_t window = host_.host_config_.max_pending;
+  while (holding() && inflight_ < window && !closing_) {
+    handle_line(held_[held_head_++]);
+  }
+  if (!holding()) {
+    held_.clear();
+    held_head_ = 0;
   }
 }
 
@@ -413,18 +441,20 @@ void Session::handle_trace(const RequestView& req) {
   obs::Tracer& tracer = obs::Tracer::global();
   const std::string tier = host_.host_config_.tier;
   if (req.trace_action == "dump") {
-    // A dump writes a file on this host, so it is off unless the
-    // operator opted in with a trace directory, and the client's path
-    // is confined to it (the same rule as `file:` tree specs).
+    // A dump writes a file on this host, so a network client may dump
+    // only if the operator opted in with a trace directory, and only to
+    // a path confined to it (the same rule as `file:` tree specs). A
+    // local host's peer is the operator: its path is used as given.
     const std::string& trace_dir = host_.host_config_.trace_dir;
-    if (trace_dir.empty()) {
+    const bool local = host_.host_config_.local;
+    if (!local && trace_dir.empty()) {
       emit_error(req.id, ErrorCode::kBadRequest,
                  "trace dump is disabled on this " + tier +
                      " (start it with --trace-dir to allow dumps)");
       return;
     }
-    std::string resolved;
-    if (!confine_relative_path(trace_dir, req.trace_path, resolved)) {
+    std::string resolved(req.trace_path);
+    if (!local && !confine_relative_path(trace_dir, req.trace_path, resolved)) {
       emit_error(req.id, ErrorCode::kBadRequest,
                  "trace dump path must be a relative name inside the " +
                      tier +
@@ -519,6 +549,13 @@ void Session::schedule_flush() {
 void Session::flush_deferred() {
   flush_scheduled_ = false;
   if (closing_) return;
+  if (holding()) {
+    // Settles freed window slots. Answers that settle during admission
+    // flush below, not through another deferral.
+    reading_ = true;
+    admit_held();
+    reading_ = false;
+  }
   flush_ready();
   send_buffered();
   if (closing_) return;
@@ -648,7 +685,7 @@ void Session::update_interest() {
     paused_reads_ = false;
   }
   std::uint32_t want = 0;
-  if (!read_closed_ && !paused_reads_) want |= EPOLLIN;
+  if (!read_closed_ && !paused_reads_ && !holding()) want |= EPOLLIN;
   if (buffered() > 0) want |= EPOLLOUT;
   if (want != interest_) {
     host_.loop_.modify(fd_, want);
@@ -685,7 +722,8 @@ void Session::finish_if_drained() {
 // ---------------------------------------------------------------------------
 
 SessionHost::SessionHost(HostConfig config)
-    : host_config_(std::move(config)), listener_(host_config_.listener) {
+    : host_config_(std::move(config)) {
+  if (!host_config_.local) listener_.emplace(host_config_.listener);
   if (!host_config_.log_json.empty() && !obs::EventLog::global().enabled()) {
     std::string error;
     if (!obs::EventLog::global().open(host_config_.log_json, error)) {
@@ -711,10 +749,17 @@ void SessionHost::serve_metrics(obs::MetricsRegistry& registry) {
           .unix_path = {}});
 }
 
+const std::string& SessionHost::address() const {
+  static const std::string kLocal = "local";
+  return listener_ ? listener_->address() : kLocal;
+}
+
 void SessionHost::run() {
-  loop_.add(listener_.fd(), EPOLLIN,
-            [this](std::uint32_t) { accept_ready(); });
-  listener_active_ = true;
+  if (listener_) {
+    loop_.add(listener_->fd(), EPOLLIN,
+              [this](std::uint32_t) { accept_ready(); });
+    listener_active_ = true;
+  }
   if (metrics_http_) metrics_http_->start();
   if (host_config_.handle_signals) {
     sigset_t mask;
@@ -749,7 +794,7 @@ void SessionHost::stop() {
 }
 
 void SessionHost::accept_ready() {
-  listener_.accept_ready([this](int fd) {
+  listener_->accept_ready([this](int fd) {
     if (draining_) {
       ::close(fd);
       return;
@@ -768,10 +813,14 @@ void SessionHost::accept_ready() {
       ::close(fd);
       return;
     }
-    ++session_counters_.accepted;
-    const std::uint64_t id = next_conn_id_++;
-    sessions_.emplace(id, std::make_unique<Session>(*this, fd, id));
+    adopt(fd);
   });
+}
+
+void SessionHost::adopt(int fd) {
+  ++session_counters_.accepted;
+  const std::uint64_t id = next_conn_id_++;
+  sessions_.emplace(id, std::make_unique<Session>(*this, fd, id));
 }
 
 Session* SessionHost::session(std::uint64_t conn_id) {
@@ -794,7 +843,7 @@ void SessionHost::begin_drain() {
       {obs::EventLog::Field::u64("conns", sessions_.size()),
        obs::EventLog::Field::u64("outstanding", outstanding())});
   if (listener_active_) {
-    loop_.remove(listener_.fd());
+    loop_.remove(listener_->fd());
     listener_active_ = false;
   }
   if (host_config_.drain_timeout_ms > 0.0 && drain_timer_fd_ < 0) {

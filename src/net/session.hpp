@@ -30,21 +30,28 @@
 //    the stream resynchronizes on the newline; a bad frame answers once
 //    and closes (framing is unrecoverable).
 //  * Admission: at most max_pending unsettled requests; excess requests
-//    answer queue_full without reaching the tier.
+//    answer queue_full without reaching the tier (a local host's
+//    session instead holds them and stops reading until a slot frees).
 //  * Output: answers from one read burst — and answers settled by the
 //    tier within one event-loop dispatch batch — coalesce in the write
 //    buffer and leave in one send(). Past max_wbuf the session stops
 //    reading until the client drains it below half, so a slow reader
 //    stalls itself, never the host.
 //  * Half-close (EOF): remaining requests are answered and flushed, then
-//    the session closes — like EOF on the stdin front-end. An EOF that
-//    truncates a frame or the magic answers bad_request first.
+//    the session closes. An EOF that truncates a frame or the magic
+//    answers bad_request first.
 //  * Abrupt disconnect: the tier withdraws what it still can (queued
 //    tickets, router-queued forwards); running work finishes and its
 //    answer is dropped.
 //
 // The host owns the listener, the sessions, the max_conns greeting, the
 // signalfd, and the graceful drain with its optional hard timeout.
+//
+// A local host (HostConfig::local, the stdin front-end's) binds no
+// listener and serves sessions handed to adopt() by a trusted process
+// on the same machine. Its sessions start in text mode, hold the lines
+// already framed instead of answering queue_full, and stop reading until
+// the window has room again; its `trace dump=` writes the path as given.
 
 #include <cstdint>
 #include <deque>
@@ -103,7 +110,7 @@ struct SessionCounters {
 
 class Session {
  public:
-  /// Takes ownership of `fd` (non-blocking, already accepted) and
+  /// Takes ownership of `fd` (non-blocking, already connected) and
   /// registers it with the host's event loop.
   Session(SessionHost& host, int fd, std::uint64_t id);
 
@@ -158,6 +165,9 @@ class Session {
   /// Records the per-connection protocol-negotiation span (tracer on).
   void note_detected();
   void feed_text(const char* data, std::size_t len);
+  /// Local host: admits held lines, in order, while the window has room.
+  void admit_held();
+  [[nodiscard]] bool holding() const { return held_head_ < held_.size(); }
   void handle_line(const LineFramer::Line& line);
   void drain_frames();
   void handle_frame(const Frame& frame);
@@ -215,6 +225,10 @@ class Session {
   std::vector<Pending> pending_;
   std::size_t inflight_ = 0;  ///< counted entries not yet settled
   std::uint64_t next_key_ = 1;
+  /// Local host: framed lines waiting for a window slot, from
+  /// held_head_ on. Never allocated on a network host.
+  std::vector<LineFramer::Line> held_;
+  std::size_t held_head_ = 0;
 
   std::string wbuf_;
   std::size_t wbuf_head_ = 0;  ///< sent prefix (compacted lazily)
@@ -250,6 +264,8 @@ struct HostConfig {
   /// cancel ack says "request already <this> or answered".
   const char* cancel_too_late = "running";
   ListenerConfig listener;
+  /// A local host (see the header comment); network tiers leave it off.
+  bool local = false;
   std::size_t max_conns = 256;
   std::size_t max_pending = kDefaultMaxPending;
   std::size_t max_wbuf = kDefaultMaxWbuf;
@@ -290,11 +306,12 @@ class SessionHost {
   SessionHost(const SessionHost&) = delete;
   SessionHost& operator=(const SessionHost&) = delete;
 
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  /// Printable endpoint: "<bind>:<port>" or "unix:<path>".
-  [[nodiscard]] const std::string& address() const {
-    return listener_.address();
+  /// The bound TCP port; 0 for a unix socket or a local host.
+  [[nodiscard]] std::uint16_t port() const {
+    return listener_ ? listener_->port() : 0;
   }
+  /// Printable endpoint: "<bind>:<port>", "unix:<path>" or "local".
+  [[nodiscard]] const std::string& address() const;
   /// The bound scrape port; 0 when no endpoint was configured.
   [[nodiscard]] std::uint16_t metrics_port() const {
     return metrics_http_ ? metrics_http_->port() : 0;
@@ -310,11 +327,17 @@ class SessionHost {
   /// Begins a graceful drain from any thread.
   void stop();
 
+  /// Serves one session on `fd` (a non-blocking connected stream socket,
+  /// owned from here on) as if it had been accepted. Call before run()
+  /// or on the loop thread.
+  void adopt(int fd);
+
  protected:
   friend class Session;
 
-  /// Binds the listener (throws std::system_error on failure) and opens
-  /// the event-log sink, but does not serve yet.
+  /// Binds the listener unless the host is local (throws
+  /// std::system_error on failure) and opens the event-log sink, but
+  /// does not serve yet.
   explicit SessionHost(HostConfig config);
   virtual ~SessionHost();
 
@@ -395,7 +418,7 @@ class SessionHost {
   void begin_drain();
 
   EventLoop loop_;
-  Listener listener_;
+  std::optional<Listener> listener_;  ///< empty on a local host
   std::unique_ptr<MetricsHttp> metrics_http_;
   int signal_fd_ = -1;
   int drain_timer_fd_ = -1;  ///< armed by begin_drain past drain_timeout_ms

@@ -92,6 +92,8 @@ struct RequestLine {
 /// over parse_request_view (request_view.hpp), the grammar's one
 /// parser. Throws std::invalid_argument with its message, which names
 /// the offending token or field, on any violation of the grammar above.
+/// No front-end calls it (every session parses views in place); its
+/// callers are the tests and e2ebench's parse-cost probe.
 RequestLine parse_request_line(const std::string& line);
 
 /// One response, either direction of the wire. kSchedule lines carry a

@@ -7,7 +7,7 @@
 // field map. The single owned copy of a request happens where it must:
 // in the front-end tier that builds the ScheduleRequest or the router's
 // forward line (net/session.hpp), or in parse_request_line
-// (request_line.hpp), the owning wrapper the stdin front-end uses.
+// (request_line.hpp), the owning wrapper tests and e2ebench use.
 //
 // The grammar (request_line.hpp documents the fields):
 //   <tree-spec> <algo> <p> [<memory-cap>] [priority=...] [deadline_ms=...]

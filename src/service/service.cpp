@@ -1,6 +1,5 @@
 #include "service/service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -488,67 +487,6 @@ Ticket SchedulingService::submit(ScheduleRequest req) {
     release();
   });
   return Ticket(std::move(state), queue_, *seq);
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> service_stats_pairs(
-    const SchedulingService& service) {
-  const CacheStats cs = service.cache_stats();
-  const QueueStats qs = service.queue_stats();
-  const InstanceStore::Stats ss = service.store_stats();
-  std::uint64_t admitted = 0, completed = 0, expired = 0, cancelled = 0,
-                rejected = 0;
-  for (const ClassQueueStats& c : qs.by_class) {
-    admitted += c.admitted;
-    completed += c.completed;
-    expired += c.expired;
-    cancelled += c.cancelled;
-    rejected += c.rejected;
-  }
-  std::vector<std::pair<std::string, std::uint64_t>> pairs = {
-      {"queue_pending", qs.pending()},
-      {"queue_admitted", admitted},
-      {"queue_completed", completed},
-      {"queue_expired", expired},
-      {"queue_cancelled", cancelled},
-      {"queue_rejected", rejected},
-      {"cache_hits", cs.hits},
-      {"cache_misses", cs.misses},
-      {"cache_entries", cs.entries},
-      {"cache_bytes", cs.bytes},
-      {"cache_evictions", cs.evictions},
-      {"store_trees", ss.unique_trees},
-      {"store_bytes", ss.bytes},
-      {"store_rejected", ss.rejected},
-  };
-  // Everything after the legacy block is additive vocabulary (ISSUE 7):
-  // per-class queue keys (both front-ends get them from this one
-  // function — that is the parity guarantee), the shared pool, and the
-  // stage-histogram summaries from the service's registry.
-  static constexpr const char* kClassKey[kPriorityClasses] = {
-      "interactive", "batch", "bulk"};
-  for (std::size_t c = 0; c < kPriorityClasses; ++c) {
-    const ClassQueueStats& q = qs.by_class[c];
-    const std::string suffix = std::string("_") + kClassKey[c];
-    pairs.emplace_back("queue_pending" + suffix, q.pending);
-    pairs.emplace_back("queue_admitted" + suffix, q.admitted);
-    pairs.emplace_back("queue_completed" + suffix, q.completed);
-    pairs.emplace_back("queue_expired" + suffix, q.expired);
-    pairs.emplace_back("queue_cancelled" + suffix, q.cancelled);
-    pairs.emplace_back("queue_rejected" + suffix, q.rejected);
-    pairs.emplace_back("queue_aged" + suffix, q.aged);
-    pairs.emplace_back(
-        "queue_wait_p99_us" + suffix,
-        static_cast<std::uint64_t>(std::max(0.0, q.wait_ms_p99 * 1000.0)));
-  }
-  const ThreadPool::Stats ps = ThreadPool::shared().stats();
-  pairs.emplace_back("pool_threads", ps.threads);
-  pairs.emplace_back("pool_submitted", ps.submitted);
-  pairs.emplace_back("pool_executed", ps.executed);
-  pairs.emplace_back("pool_pending", ps.pending);
-  for (auto& kv : service.registry().snapshot().stats_pairs()) {
-    pairs.push_back(std::move(kv));
-  }
-  return pairs;
 }
 
 }  // namespace treesched

@@ -241,15 +241,4 @@ class SchedulingService {
   std::size_t async_outstanding_ = 0;
 };
 
-/// The queue/cache/store counters a `stats` protocol line reports, in a
-/// stable order — the single source both wire front-ends (stdin and
-/// TCP) share, so their stats vocabularies cannot silently diverge.
-/// Front-ends prepend their transport-specific keys (connection counts,
-/// window depth) before these. The legacy fourteen keys lead unchanged;
-/// after them come the per-class queue keys, the shared pool's
-/// counters, and the stage-histogram summaries
-/// (<key>_count/_p50_us/_p90_us/_p99_us) from the service's registry.
-std::vector<std::pair<std::string, std::uint64_t>> service_stats_pairs(
-    const SchedulingService& service);
-
 }  // namespace treesched

@@ -55,6 +55,19 @@ std::int64_t CliArgs::get_int(const std::string& name,
   }
 }
 
+std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback,
+                              std::int64_t min, std::int64_t max) const {
+  if (!has(name)) return fallback;
+  const std::int64_t value = get_int(name, fallback);
+  if (value < min || value > max) {
+    throw std::invalid_argument("--" + name + " must be in [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(max) + "], got " +
+                                std::to_string(value));
+  }
+  return value;
+}
+
 double CliArgs::get_double(const std::string& name, double fallback) const {
   seen_[name] = true;
   auto it = flags_.find(name);

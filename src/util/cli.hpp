@@ -26,6 +26,13 @@ class CliArgs {
                                 const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
+  /// get_int for ports, counts and sizes: a given value outside
+  /// [min, max] throws std::invalid_argument naming the flag and the
+  /// range, instead of wrapping when the caller narrows it. The
+  /// fallback is returned unchecked.
+  [[nodiscard]] std::int64_t get_int(const std::string& name,
+                                     std::int64_t fallback, std::int64_t min,
+                                     std::int64_t max) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;

@@ -1,9 +1,11 @@
 #pragma once
 // Shared helpers for the test suite.
 
+#include <future>
 #include <vector>
 
 #include "core/tree.hpp"
+#include "util/thread_pool.hpp"
 
 namespace treesched::testing {
 
@@ -30,5 +32,33 @@ inline Tree make_tree(std::vector<NodeId> parent, std::vector<MemSize> out,
 inline Tree example_tree() {
   return pebble_tree({kNoNode, 0, 0, 0, 1, 1, 3});
 }
+
+/// Holds every shared-pool worker until release() (or destruction), so
+/// requests submitted meanwhile stay queued however long the test thread
+/// is descheduled. The pool is FIFO: jobs the service posts after the
+/// gate's run only once it opens. Declare it after the service, so it
+/// opens before the service's destructor drains.
+class PoolGate {
+ public:
+  PoolGate() {
+    for (unsigned w = 0; w < ThreadPool::shared().size(); ++w) {
+      ThreadPool::shared().submit([gate = gate_] { gate.wait(); });
+    }
+  }
+  PoolGate(const PoolGate&) = delete;
+  PoolGate& operator=(const PoolGate&) = delete;
+  ~PoolGate() { release(); }
+
+  void release() {
+    if (released_) return;
+    released_ = true;
+    open_.set_value();
+  }
+
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> gate_ = open_.get_future().share();
+  bool released_ = false;
+};
 
 }  // namespace treesched::testing

@@ -3,17 +3,23 @@
 // end-to-end coverage of the epoll server over real loopback sockets —
 // tagged out-of-order answers, ping/stats control lines, per-connection
 // queue_full admission, oversized-line survival, cancel, half-close,
-// abrupt disconnect, write backpressure, and graceful drain.
+// abrupt disconnect, write backpressure, and graceful drain — plus the
+// local host the stdin front-end runs on: one adopted socketpair
+// session, a window that pauses instead of refusing, and CLI trust.
 
 #include "net/line_framer.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -28,6 +34,8 @@
 #include "trees/io.hpp"
 #include "util/thread_pool.hpp"
 
+#include "test_helpers.hpp"
+
 namespace treesched {
 namespace {
 
@@ -35,6 +43,7 @@ using net::Client;
 using net::LineFramer;
 using net::Server;
 using net::ServerConfig;
+using testing::PoolGate;
 
 // ---------------------------------------------------------------------------
 // LineFramer: byte-by-byte and adversarial chunkings.
@@ -517,6 +526,166 @@ TEST(ScheduleServer, MaxConnsGreetsTheExcessWithQueueFull) {
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.code, ErrorCode::kQueueFull);
   EXPECT_FALSE(third.recv_line().has_value()) << "closed after the greeting";
+}
+
+// ---------------------------------------------------------------------------
+// Local hosts: a Server with config.local serving one adopted socketpair
+// session, the way schedule_service serves its input.
+// ---------------------------------------------------------------------------
+
+/// Service + local server + I/O thread; the test holds the peer end of
+/// the one session's socketpair.
+class LocalHarness {
+ public:
+  explicit LocalHarness(ServerConfig config = {})
+      : server_(service_, local(std::move(config))) {
+    int ends[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0 ||
+        ::fcntl(ends[0], F_SETFL, O_NONBLOCK) != 0) {
+      throw std::runtime_error("socketpair");
+    }
+    server_.adopt(ends[0]);
+    peer_ = ends[1];
+    thread_ = std::thread([this] { server_.run(); });
+  }
+
+  ~LocalHarness() {
+    ::close(peer_);
+    server_.stop();
+    thread_.join();
+  }
+
+  [[nodiscard]] int peer() const { return peer_; }
+  [[nodiscard]] SchedulingService& service() { return service_; }
+
+ private:
+  static ServerConfig local(ServerConfig config) {
+    config.local = true;
+    return config;
+  }
+
+  SchedulingService service_;
+  Server server_;
+  int peer_ = -1;
+  std::thread thread_;
+};
+
+void send_all(int fd, const std::string& text) {
+  std::size_t off = 0;
+  while (off < text.size()) {
+    const ssize_t n =
+        ::send(fd, text.data() + off, text.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << "send failed";
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+/// Half-closes `fd`, then reads response lines until the session closes.
+std::vector<std::string> finish_and_read(int fd) {
+  ::shutdown(fd, SHUT_WR);
+  std::string text;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+    text.append(buf, static_cast<std::size_t>(n));
+  }
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = text.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    lines.push_back(text.substr(start, nl - start));
+  }
+  return lines;
+}
+
+TEST(LocalServer, FullWindowHoldsLinesInsteadOfRefusingThem) {
+  ServerConfig config;
+  config.max_pending = 2;
+  LocalHarness harness(config);
+  PoolGate gate;  // every admitted request stays queued until release
+  std::string input;
+  for (int i = 0; i < 10; ++i) {
+    input += "random:50:1 ParSubtrees " + std::to_string(2 + i) + "\n";
+  }
+  send_all(harness.peer(), input);
+  const auto admitted = [&] {
+    return harness.service().queue_stats().of(Priority::kBatch).admitted;
+  };
+  for (int spin = 0; admitted() < 2 && spin < 5000; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Time for a wrong implementation to admit (or refuse) a third line.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(admitted(), 2u) << "the window admits exactly max_pending";
+  gate.release();
+  const std::vector<std::string> lines = finish_and_read(harness.peer());
+  ASSERT_EQ(lines.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    const ResponseLine resp = parse_response_line(lines[i]);
+    EXPECT_TRUE(resp.ok) << "nothing is refused: " << lines[i];
+    EXPECT_EQ(resp.p, 2 + i) << "untagged answers keep input order";
+  }
+  EXPECT_EQ(harness.service().queue_stats().of(Priority::kBatch).rejected, 0u);
+}
+
+TEST(LocalServer, AbsoluteFileSpecAndDumpPathWorkOnlyOnALocalServer) {
+  std::string dir = ::testing::TempDir();
+  if (dir.empty() || dir.back() != '/') dir += '/';
+  ASSERT_EQ(dir.front(), '/') << "the test needs absolute paths";
+  const std::string tree_path = dir + "local_spec_tree.txt";
+  const std::string dump_path = dir + "local_trace_dump.json";
+  write_tree_file(tree_path, tree_from_spec("random:40:7"));
+  std::remove(dump_path.c_str());
+  const std::string spec_line = "file:" + tree_path + " Liu 1 id=1";
+  const std::string dump_line = "trace dump=" + dump_path + " id=2";
+  {
+    LocalHarness harness;
+    send_all(harness.peer(), spec_line + "\n" + dump_line + "\n");
+    const std::vector<std::string> lines = finish_and_read(harness.peer());
+    ASSERT_EQ(lines.size(), 2u);
+    for (const std::string& line : lines) {
+      const ResponseLine resp = parse_response_line(line);
+      ASSERT_TRUE(resp.ok) << line;
+      ASSERT_TRUE(resp.id.has_value()) << line;
+      if (*resp.id == 1) EXPECT_EQ(resp.n, 40);
+      if (*resp.id == 2) EXPECT_EQ(resp.kind, ResponseLine::Kind::kTrace);
+    }
+    EXPECT_TRUE(std::ifstream(dump_path).good()) << "no dump at " << dump_path;
+  }
+  std::remove(dump_path.c_str());
+
+  ServerHarness network;  // default config: no tree_dir, no trace_dir
+  Client client = connect(network);
+  for (const std::string& line : {spec_line, dump_line}) {
+    const ResponseLine err = client.request(line);
+    EXPECT_FALSE(err.ok) << line;
+    EXPECT_EQ(err.code, ErrorCode::kBadRequest) << line;
+  }
+  EXPECT_FALSE(std::ifstream(dump_path).good());
+  EXPECT_EQ(network.service().store_stats().unique_trees, 0u);
+  std::remove(tree_path.c_str());
+}
+
+std::size_t open_sockets() {
+  std::size_t sockets = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const auto target = std::filesystem::read_symlink(entry.path(), ec);
+    if (!ec && target.string().rfind("socket:", 0) == 0) ++sockets;
+  }
+  return sockets;
+}
+
+TEST(LocalServer, BindsNoSocket) {
+  SchedulingService service;
+  const std::size_t before = open_sockets();
+  ServerConfig config;
+  config.local = true;
+  Server server(service, config);
+  EXPECT_EQ(server.port(), 0);
+  EXPECT_EQ(server.address(), "local");
+  EXPECT_EQ(open_sockets(), before);
 }
 
 }  // namespace

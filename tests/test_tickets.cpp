@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,10 +23,13 @@
 #include "util/result.hpp"
 #include "util/thread_pool.hpp"
 
+#include "test_helpers.hpp"
+
 namespace treesched {
 namespace {
 
 using namespace std::chrono_literals;
+using testing::PoolGate;
 
 Tree weighted_tree(std::uint64_t seed, NodeId n = 60) {
   Rng rng(seed);
@@ -40,34 +42,6 @@ Tree weighted_tree(std::uint64_t seed, NodeId n = 60) {
   params.depth_bias = 1.5;
   return random_tree(params, rng);
 }
-
-/// Holds every shared-pool worker until release() (or destruction), so
-/// requests submitted meanwhile stay queued however long the test thread
-/// is descheduled. The pool is FIFO: jobs the service posts after the
-/// gate's run only once it opens. Declare it after the service, so it
-/// opens before the service's destructor drains.
-class PoolGate {
- public:
-  PoolGate() {
-    for (unsigned w = 0; w < ThreadPool::shared().size(); ++w) {
-      ThreadPool::shared().submit([gate = gate_] { gate.wait(); });
-    }
-  }
-  PoolGate(const PoolGate&) = delete;
-  PoolGate& operator=(const PoolGate&) = delete;
-  ~PoolGate() { release(); }
-
-  void release() {
-    if (released_) return;
-    released_ = true;
-    open_.set_value();
-  }
-
- private:
-  std::promise<void> open_;
-  std::shared_future<void> gate_ = open_.get_future().share();
-  bool released_ = false;
-};
 
 /// Saturates every pool worker with heavy interactive work, with queued
 /// entries to spare, so a subsequently submitted Bulk request stays in

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/heap.hpp"
@@ -109,6 +111,33 @@ TEST(Cli, FallbacksAndUnknownRejection) {
   EXPECT_THROW(args.reject_unknown(), std::invalid_argument);
   args.describe("typo");
   EXPECT_NO_THROW(args.reject_unknown());
+}
+
+TEST(Cli, RangedIntAcceptsItsBoundsAndNamesFlagAndRangeOnRejection) {
+  const char* argv[] = {"prog", "--port", "65535", "--low", "-1",
+                        "--port-high", "70000", "--pending", "-5"};
+  CliArgs args(9, const_cast<char**>(argv));
+  EXPECT_EQ(args.get_int("port", 0, 0, 65535), 65535);
+  EXPECT_EQ(args.get_int("low", 0, -1, 10), -1);
+  EXPECT_EQ(args.get_int("absent", 99, 0, 10), 99)
+      << "the fallback is the caller's and is not range-checked";
+  try {
+    (void)args.get_int("port-high", 0, 0, 65535);
+    FAIL() << "70000 is not a port";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--port-high must be in [0, 65535], got 70000");
+  }
+  EXPECT_THROW((void)args.get_int("pending", 64, 1, 1 << 24),
+               std::invalid_argument)
+      << "a negative count must not wrap into a huge size_t";
+  EXPECT_NO_THROW(args.reject_unknown()) << "checked flags count as seen";
+}
+
+TEST(Cli, RangedIntStillRejectsNonIntegers) {
+  const char* argv[] = {"prog", "--port", "80x"};
+  CliArgs args(3, const_cast<char**>(argv));
+  EXPECT_THROW((void)args.get_int("port", 0, 0, 65535), std::invalid_argument);
 }
 
 TEST(Cli, BadBooleanThrows) {
